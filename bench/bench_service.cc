@@ -91,10 +91,11 @@ void Run() {
   }
   bench::EmitBenchJson("BENCH_service.json", series);
   std::printf(
-      "\nReading: both phases parallelize over the pool; shard striping "
-      "keeps writer\ncontention low and queries take shared locks only, so "
-      "batch matching should\nscale near-linearly until probe work saturates "
-      "memory bandwidth.\n");
+      "\nReading: inserts encode over the pool and index in record order "
+      "on one thread,\nso insert speedup is bounded by the serial index "
+      "step; queries take the epoch\nlock shared only, so batch matching "
+      "should scale near-linearly until probe work\nsaturates memory "
+      "bandwidth.\n");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "src/blocking/matcher.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -110,6 +111,17 @@ bool VectorStore::Remove(RecordId id) {
   dead_words_[word] |= uint64_t{1} << (dense & 63);
   ++dead_count_;
   return true;
+}
+
+std::vector<RecordId> VectorStore::DeadIds() const {
+  std::vector<RecordId> dead;
+  dead.reserve(dead_count_);
+  for (size_t word = 0; word < dead_words_.size(); ++word) {
+    for (uint64_t bits = dead_words_[word]; bits != 0; bits &= bits - 1) {
+      dead.push_back(ids_[word * 64 + std::countr_zero(bits)]);
+    }
+  }
+  return dead;
 }
 
 void VectorStore::Rehash(size_t min_slots) {
@@ -231,86 +243,77 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
 void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
                        std::vector<IdPair>* out, MatchStats* stats,
                        Scratch* scratch) const {
+  // Counters are optional (some callers only want the pairs).
+  MatchStats local;
+  MatchStats* const s = stats != nullptr ? stats : &local;
+  Collect(b.bits, scratch, s);
+  Compare(b, classifier, scratch, out, s);
+}
+
+void Matcher::Collect(const BitVector& probe, Scratch* scratch,
+                      MatchStats* stats) const {
   scratch->Prepare(store_a_->size());
   uint32_t* const stamps = scratch->stamps_.data();
   const uint32_t epoch = scratch->epoch_;
-  // Counters are optional (some callers only want the pairs); fold into a
-  // local and copy out once so the hot loop never branches on stats.
-  MatchStats local;
-  MatchStats* const s = stats != nullptr ? stats : &local;
-  const uint64_t* const b_words = b.bits.words().data();
-  const size_t num_words = store_a_->words_per_record();
-  if (classifier.IsWholeRecordThreshold()) {
-    // Batched path (DESIGN.md §14): stage every first-seen candidate
-    // while walking the bucket spans, then hand the probe's whole fresh
-    // set to the batch kernel in one call — candidates sit at a fixed
-    // stride in the arena, so the SIMD kernels stream them via the dense
-    // index list.  Verdicts come back in staging order, which is the
-    // arrival order the per-pair loop used, so pairs and stats are
-    // byte-identical to the scalar engine.
-    std::vector<uint32_t>& fresh_dense = scratch->fresh_dense_;
-    std::vector<RecordId>& fresh_ids = scratch->fresh_ids_;
-    source_->ForEachCandidateSpan(
-        b.bits, [&](std::span<const RecordId> bucket) {
-          s->candidate_occurrences += bucket.size();
-          for (const RecordId a_id : bucket) {
-            const uint32_t dense = store_a_->DenseIndex(a_id);
-            if (dense == VectorStore::kNotFound) {
-              if (!scratch->unknown_.insert(a_id).second) ++s->dedup_skipped;
-              continue;
-            }
-            if (stamps[dense] == epoch) {
-              ++s->dedup_skipped;
-              continue;
-            }
-            stamps[dense] = epoch;
-            // Tombstoned slot: stamped (so repeats dedupe for free) but
-            // never compared — a deleted record matches nothing.
-            if (store_a_->IsDead(dense)) continue;
-            fresh_dense.push_back(dense);
-            fresh_ids.push_back(a_id);
-          }
-        });
-    const size_t n = fresh_dense.size();
-    s->comparisons += n;
-    if (n == 0) return;
-    if (scratch->verdicts_.size() < n) scratch->verdicts_.resize(n);
-    KernelBatchLeq(ActiveKernels(), b_words, store_a_->arena().data(),
-                   num_words, fresh_dense.data(), n, num_words,
-                   classifier.threshold(), scratch->verdicts_.data());
-    for (size_t i = 0; i < n; ++i) {
-      if (scratch->verdicts_[i] != 0) {
-        ++s->matches;
-        out->push_back(IdPair{fresh_ids[i], b.id});
-      }
-    }
-    return;
-  }
+  std::vector<uint32_t>& fresh = scratch->fresh_dense_;
   source_->ForEachCandidateSpan(
-      b.bits, [&](std::span<const RecordId> bucket) {
-        s->candidate_occurrences += bucket.size();
+      probe, [&](std::span<const RecordId> bucket) {
+        stats->candidate_occurrences += bucket.size();
         for (const RecordId a_id : bucket) {
           const uint32_t dense = store_a_->DenseIndex(a_id);
           if (dense == VectorStore::kNotFound) {
             // Id indexed but vector unknown: no dense slot to stamp, so
             // de-duplicate through the (steady-state empty) side set.
-            if (!scratch->unknown_.insert(a_id).second) ++s->dedup_skipped;
+            if (!scratch->unknown_.insert(a_id).second) ++stats->dedup_skipped;
             continue;
           }
           if (stamps[dense] == epoch) {
-            ++s->dedup_skipped;
+            ++stats->dedup_skipped;
             continue;
           }
           stamps[dense] = epoch;
-          if (store_a_->IsDead(dense)) continue;  // tombstoned: skip
-          ++s->comparisons;
-          if (classifier.ClassifyWords(store_a_->WordsAt(dense), b_words,
-                                       num_words)) {
-            ++s->matches;
-            out->push_back(IdPair{a_id, b.id});
-          }
+          // Tombstoned slot: stamped (so repeats dedupe for free) but
+          // never staged — a deleted record matches nothing.
+          if (!store_a_->IsDead(dense)) fresh.push_back(dense);
         }
       });
+}
+
+void Matcher::Compare(const EncodedRecord& b, const PairClassifier& classifier,
+                      Scratch* scratch, std::vector<IdPair>* out,
+                      MatchStats* stats) const {
+  const std::vector<uint32_t>& fresh = scratch->fresh_dense_;
+  const size_t n = fresh.size();
+  stats->comparisons += n;
+  if (n == 0) return;
+  const uint64_t* const b_words = b.bits.words().data();
+  const size_t num_words = store_a_->words_per_record();
+  size_t theta = 0;
+  if (classifier.AsWholeRecordThreshold(store_a_->num_bits(), &theta)) {
+    // Batched path (DESIGN.md §14): candidates sit at a fixed stride in
+    // the arena, so the SIMD kernels stream the whole staged set via the
+    // dense index list in one call.  Verdicts come back in staging
+    // order, so pairs and stats equal the per-pair loop below.
+    std::vector<uint8_t>& verdicts = scratch->verdicts_;
+    if (verdicts.size() < n) verdicts.resize(n);
+    KernelBatchLeq(ActiveKernels(), b_words, store_a_->arena().data(),
+                   num_words, fresh.data(), n, num_words, theta,
+                   verdicts.data());
+    for (size_t i = 0; i < n; ++i) {
+      if (verdicts[i] != 0) {
+        ++stats->matches;
+        out->push_back(IdPair{store_a_->IdAt(fresh[i]), b.id});
+      }
+    }
+    return;
+  }
+  for (const uint32_t dense : fresh) {
+    if (classifier.ClassifyWords(store_a_->WordsAt(dense), b_words,
+                                 num_words)) {
+      ++stats->matches;
+      out->push_back(IdPair{store_a_->IdAt(dense), b.id});
+    }
+  }
 }
 
 std::vector<IdPair> Matcher::MatchAll(

@@ -107,6 +107,9 @@ class VectorStore {
   /// Tombstoned slots awaiting compaction.
   size_t dead_count() const { return dead_count_; }
 
+  /// RecordIds of the tombstoned slots, in dense order.
+  std::vector<RecordId> DeadIds() const;
+
   /// Dense index of `id` in [0, size()), or kNotFound.  O(1): one hash
   /// probe over the flat slot table.
   uint32_t DenseIndex(RecordId id) const {
@@ -220,17 +223,12 @@ class PairClassifier {
     return false;
   }
 
-  /// True for whole-record threshold classifiers — the shape the batch
-  /// kernels accelerate (one distance, one theta, no segment structure).
-  bool IsWholeRecordThreshold() const { return kind_ == Kind::kThreshold; }
-
-  /// The record-level theta (meaningful only when IsWholeRecordThreshold).
-  size_t threshold() const { return theta_; }
-
-  /// Like IsWholeRecordThreshold, but also recognises a compiled rule
-  /// whose single predicate spans the whole `total_bits` record — the
-  /// shape a one-attribute schema produces.  On success stores the theta
-  /// and returns true; `theta` is untouched otherwise.
+  /// True for the shape the batch kernels accelerate — one distance
+  /// against one theta, no segment structure: a record-level threshold
+  /// classifier, or a compiled rule whose single predicate spans the
+  /// whole `total_bits` record (what a one-attribute schema produces).
+  /// On success stores the theta and returns true; `theta` is untouched
+  /// otherwise.
   bool AsWholeRecordThreshold(size_t total_bits, size_t* theta) const {
     if (kind_ == Kind::kThreshold) {
       *theta = theta_;
@@ -281,14 +279,24 @@ PairClassifier MakeRecordThresholdClassifier(size_t theta);
 
 /// Algorithm 2 driver over a candidate source and the A-side store.
 /// Both referenced objects must outlive the matcher.
+///
+/// A probe runs in two phases: Collect walks the candidate buckets and
+/// stages the unique collection C, and Compare classifies the staged
+/// candidates.  MatchOne is Collect followed by Compare; callers that
+/// time or trace the phases separately (the linkage service) call them
+/// directly.
 class Matcher {
  public:
   /// Reusable per-thread probe state: the generation-stamped visited
   /// array that implements the unique collection C without per-probe
-  /// allocations.  One Scratch must not be shared across threads.
+  /// allocations, plus the staged candidates between Collect and
+  /// Compare.  One Scratch must not be shared across threads.
   class Scratch {
    public:
     Scratch() = default;
+
+    /// Candidates the last Collect staged (|C| minus tombstoned slots).
+    size_t num_staged() const { return fresh_dense_.size(); }
 
    private:
     friend class Matcher;
@@ -304,7 +312,6 @@ class Matcher {
       }
       if (!unknown_.empty()) unknown_.clear();
       fresh_dense_.clear();
-      fresh_ids_.clear();
     }
 
     /// stamps_[dense] == epoch_  <=>  dense already seen this probe.
@@ -314,16 +321,31 @@ class Matcher {
     /// unknown) — they have no dense index to stamp.  Empty in steady
     /// state, so it never allocates on the healthy path.
     std::unordered_set<RecordId> unknown_;
-    /// Batch-kernel staging: the probe's fresh (first-seen) candidates in
-    /// arrival order, and the per-candidate <=theta verdicts.  Capacity
+    /// The probe's fresh (first-seen) live candidates in arrival order,
+    /// and the batch kernel's per-candidate <=theta verdicts.  Capacity
     /// persists across probes, so steady state never allocates.
     std::vector<uint32_t> fresh_dense_;
-    std::vector<RecordId> fresh_ids_;
     std::vector<uint8_t> verdicts_;
   };
 
   Matcher(const CandidateSource* source, const VectorStore* store_a)
       : source_(source), store_a_(store_a) {}
+
+  /// Phase 1: walks the candidate buckets of `probe` and stages every
+  /// first-seen, live candidate in `scratch`, in arrival order.
+  /// Tombstoned slots are deduplicated but never staged.  Adds the
+  /// occurrence and dedup counters to `*stats`.
+  void Collect(const BitVector& probe, Scratch* scratch,
+               MatchStats* stats) const;
+
+  /// Phase 2: classifies `b` against the candidates the last Collect on
+  /// `scratch` staged, appending matches to `out` in staging order.
+  /// Whole-record threshold classifiers run the batch kernel; every
+  /// other rule runs the per-pair classifier — the pairs are the same
+  /// either way.  Adds the comparison and match counters to `*stats`.
+  void Compare(const EncodedRecord& b, const PairClassifier& classifier,
+               Scratch* scratch, std::vector<IdPair>* out,
+               MatchStats* stats) const;
 
   /// Matches one B record; appends matched pairs to `out`.  `stats` may
   /// be null when the caller does not need counters.  Uses the matcher's

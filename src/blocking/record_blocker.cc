@@ -117,6 +117,12 @@ size_t RecordLevelBlocker::TotalBuckets() const {
   return total;
 }
 
+size_t RecordLevelBlocker::TotalEntries() const {
+  size_t total = 0;
+  for (const BlockingTable& table : tables_) total += table.NumEntries();
+  return total;
+}
+
 size_t RecordLevelBlocker::MaxBucketSize() const {
   size_t best = 0;
   for (const BlockingTable& table : tables_) {

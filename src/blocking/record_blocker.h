@@ -71,6 +71,10 @@ class RecordLevelBlocker : public CandidateSource {
   static Result<RecordLevelBlocker> CreateWithL(size_t num_bits, size_t K,
                                                 size_t L, Rng& rng);
 
+  /// A blocker over the same LSH family with no entries: rebuilding it
+  /// from a record set yields exactly the blocking keys of this one.
+  RecordLevelBlocker EmptyCopy() const { return RecordLevelBlocker(family_); }
+
   /// Inserts every record of data set A.  May be called repeatedly to add
   /// more records.
   void Index(const std::vector<EncodedRecord>& records);
@@ -104,6 +108,7 @@ class RecordLevelBlocker : public CandidateSource {
 
   /// Aggregate statistics over the L tables, for diagnostics.
   size_t TotalBuckets() const;
+  size_t TotalEntries() const;
   size_t MaxBucketSize() const;
 
   /// The L blocking tables, for distribution diagnostics

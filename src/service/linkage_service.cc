@@ -9,7 +9,6 @@
 #include "src/common/failpoint.h"
 #include "src/common/hamming_kernels.h"
 #include "src/common/str.h"
-#include "src/lsh/params.h"
 #include "src/rules/rule_parser.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
@@ -18,11 +17,12 @@ namespace cbvlink {
 
 namespace {
 
-size_t RoundUpPowerOfTwo(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
+/// Records per write-lock hold in InsertBatch: bounds how long one batch
+/// keeps Matches waiting.
+constexpr size_t kInsertSlice = 1024;
+
+/// Log2 bucket-occupancy bins exported by FillTelemetry.
+constexpr size_t kOccupancySlots = 16;
 
 void AtomicMinRelaxed(std::atomic<uint64_t>* target, uint64_t value) {
   uint64_t cur = target->load(std::memory_order_relaxed);
@@ -42,106 +42,60 @@ void AtomicMaxRelaxed(std::atomic<uint64_t>* target, uint64_t value) {
 
 }  // namespace
 
-ConcurrentVectorStore::ConcurrentVectorStore(size_t num_shards) {
-  const size_t n = RoundUpPowerOfTwo(std::max<size_t>(num_shards, 1));
-  mask_ = n - 1;
-  shards_.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
+struct LinkageService::IndexEpoch {
+  explicit IndexEpoch(RecordLevelBlocker record_blocker)
+      : blocker(std::move(record_blocker)) {}
+
+  bool IsLive(RecordId id) const {
+    const uint32_t dense = store.DenseIndex(id);
+    return dense != VectorStore::kNotFound && !store.IsDead(dense);
   }
-}
 
-void ConcurrentVectorStore::Add(const EncodedRecord& record) {
-  CBVLINK_FAILPOINT_DELAY("store.add");
-  Shard& shard = *shards_[ShardOf(record.id)];
-  std::unique_lock lock(shard.mu);
-  shard.vectors.insert_or_assign(record.id, record.bits);
-}
-
-bool ConcurrentVectorStore::Remove(RecordId id) {
-  CBVLINK_FAILPOINT_DELAY("store.add");
-  Shard& shard = *shards_[ShardOf(id)];
-  std::unique_lock lock(shard.mu);
-  return shard.vectors.erase(id) != 0;
-}
-
-bool ConcurrentVectorStore::Find(RecordId id, BitVector* out) const {
-  CBVLINK_FAILPOINT_DELAY("store.find");
-  const Shard& shard = *shards_[ShardOf(id)];
-  std::shared_lock lock(shard.mu);
-  const auto it = shard.vectors.find(id);
-  if (it == shard.vectors.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-bool ConcurrentVectorStore::CopyWords(RecordId id, size_t num_words,
-                                      uint64_t* dst) const {
-  CBVLINK_FAILPOINT_DELAY("store.find");
-  const Shard& shard = *shards_[ShardOf(id)];
-  std::shared_lock lock(shard.mu);
-  const auto it = shard.vectors.find(id);
-  if (it == shard.vectors.end()) return false;
-  const std::vector<uint64_t>& words = it->second.words();
-  if (words.size() != num_words) return false;
-  std::copy(words.begin(), words.end(), dst);
-  return true;
-}
-
-bool ConcurrentVectorStore::Contains(RecordId id) const {
-  const Shard& shard = *shards_[ShardOf(id)];
-  std::shared_lock lock(shard.mu);
-  return shard.vectors.contains(id);
-}
-
-void ConcurrentVectorStore::ForEach(
-    const std::function<void(RecordId, const BitVector&)>& fn) const {
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mu);
-    for (const auto& [id, bits] : shard->vectors) fn(id, bits);
+  /// Stores `record` under its id — Remove + Add rewrites a live slot in
+  /// place and resurrects a dead one, so no dense index moves — then
+  /// indexes its blocking keys.
+  void Upsert(const EncodedRecord& record) {
+    store.Remove(record.id);
+    store.Add(record);
+    blocker.Insert(record);
   }
-}
 
-size_t ConcurrentVectorStore::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mu);
-    total += shard->vectors.size();
+  /// Every live record, ordered by id.
+  std::vector<EncodedRecord> LiveRecords() const {
+    std::vector<EncodedRecord> out;
+    out.reserve(store.live_size());
+    for (uint32_t dense = 0; dense < store.size(); ++dense) {
+      if (!store.IsDead(dense)) {
+        out.push_back(EncodedRecord{store.IdAt(dense), store.VectorAt(dense)});
+      }
+    }
+    std::sort(out.begin(), out.end(),
+              [](const EncodedRecord& a, const EncodedRecord& b) {
+                return a.id < b.id;
+              });
+    return out;
   }
-  return total;
-}
 
-std::vector<EncodedRecord> ConcurrentVectorStore::Export() const {
-  std::vector<EncodedRecord> out;
-  out.reserve(size());
-  ForEach([&out](RecordId id, const BitVector& bits) {
-    out.push_back(EncodedRecord{id, bits});
-  });
-  std::sort(out.begin(), out.end(),
-            [](const EncodedRecord& a, const EncodedRecord& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
+  /// Readers hold it shared for one probe; writers hold it unique for
+  /// one store + tables update.
+  mutable std::shared_mutex mu;
+  VectorStore store;
+  RecordLevelBlocker blocker;
+  const Matcher matcher{&blocker, &store};
+};
 
 LinkageService::LinkageService(CbvHbConfig config,
                                LinkageServiceOptions options)
     : config_(std::move(config)),
       options_(options),
-      store_(options.num_shards),
-      epoch_(std::chrono::steady_clock::now()) {
-  // Normalize eagerly so options(), snapshots, and the sharded
-  // structures all agree on the effective shard count — Restore()
-  // validates the persisted value as a power of two.
-  options_.num_shards = RoundUpPowerOfTwo(std::max<size_t>(options.num_shards, 1));
-}
+      epoch_(std::chrono::steady_clock::now()) {}
 
 Result<std::unique_ptr<LinkageService>> LinkageService::Create(
     CbvHbConfig config, LinkageServiceOptions options,
     const std::vector<Record>& calibration_sample) {
   if (config.attribute_level_blocking) {
     return Status::InvalidArgument(
-        "LinkageService shards record-level HB blocking; "
+        "LinkageService indexes record-level HB blocking; "
         "attribute-level structures are not supported");
   }
   // Reuse the batch linker's validation rules.
@@ -166,45 +120,20 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Create(
 }
 
 Status LinkageService::Init() {
-  // The RNG consumption order (encoder, then family) must stay fixed:
-  // Restore() depends on the seed reproducing both exactly.
+  // The RNG consumption order (encoder, then the blocker's LSH family)
+  // must stay fixed: Restore() depends on the seed reproducing both
+  // exactly, and the offline engine reproduces the service's blocking
+  // keys by drawing a RecordLevelBlocker in the same order.
   Rng rng(config_.seed);
   Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
       config_.schema, config_.expected_qgrams, rng, config_.sizing);
   if (!encoder.ok()) return encoder.status();
   encoder_.emplace(std::move(encoder).value());
-
-  // Distinct sampling caps K at the record width; a larger configured K
-  // was pure duplicate draws before, so clamp (deterministically — the
-  // clamp depends only on the persisted config, keeping Restore's RNG
-  // stream reproducible) instead of rejecting old configs.
-  const size_t record_K =
-      std::min(config_.record_K, encoder_->total_bits());
-  if (record_K != config_.record_K) {
-    std::fprintf(stderr,
-                 "cbvlink: record_K = %zu exceeds the %zu-bit record; "
-                 "clamping to %zu (distinct bit positions)\n",
-                 config_.record_K, encoder_->total_bits(), record_K);
-  }
-  Result<double> p =
-      HammingBaseProbability(config_.record_theta, encoder_->total_bits());
-  if (!p.ok()) return p.status();
-  Result<size_t> L = OptimalGroups(p.value(), record_K, config_.delta);
-  if (!L.ok()) return L.status();
-  Result<HammingLshFamily> family = HammingLshFamily::CreateFull(
-      record_K, L.value(), encoder_->total_bits(), rng);
-  if (!family.ok()) return family.status();
-  // Keep a copy of the family: Compact() rebuilds a successor index with
-  // the identical blocking keys.
-  family_.emplace(family.value());
-
-  ShardedIndexOptions index_options;
-  index_options.num_shards = options_.num_shards;
-  index_options.max_bucket_size = options_.max_bucket_size;
-  Result<ShardedHammingIndex> index =
-      ShardedHammingIndex::Create(std::move(family).value(), index_options);
-  if (!index.ok()) return index.status();
-  index_ = std::make_shared<ShardedHammingIndex>(std::move(index).value());
+  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
+      encoder_->total_bits(), config_.record_K, config_.record_theta,
+      config_.delta, rng);
+  if (!blocker.ok()) return blocker.status();
+  index_ = std::make_shared<IndexEpoch>(std::move(blocker).value());
 
   classifier_ = MakeRuleClassifier(config_.rule, encoder_->layout());
   const ExecutionOptions& exec = options_.execution;
@@ -232,7 +161,6 @@ Status LinkageService::Init() {
   t_candidates_ = reg.GetCounter("service_candidates_total");
   t_comparisons_ = reg.GetCounter("service_comparisons_total");
   t_matches_ = reg.GetCounter("service_matches_total");
-  t_scan_fallbacks_ = reg.GetCounter("service_scan_fallbacks_total");
   return Status::OK();
 }
 
@@ -254,28 +182,12 @@ void LinkageService::RecordSpan(uint64_t start, uint64_t end,
   AtomicMaxRelaxed(last_end, end);
 }
 
-void LinkageService::InsertEncoded(const EncodedRecord& record) {
-  // Shared against the compactor: no insert may land between its
-  // survivor export and the epoch swap, or the record would vanish from
-  // the published index.
+void LinkageService::WithWriteLock(FunctionRef<void(IndexEpoch&)> fn) {
   std::shared_lock compaction_guard(compaction_mu_);
-  // Store before index: a concurrent Match that sees the id in a bucket
-  // must be able to retrieve the vector.
-  store_.Add(record);
-  PinIndex()->Insert(record);
-  // An insert of a tombstoned id resurrects it (same outcome live and in
-  // replay order).  Gated on the counter so the steady insert path never
-  // touches the tombstone lock.
-  if (tombstone_count_.load(std::memory_order_relaxed) != 0) {
-    ClearTombstone(record.id);
-  }
-}
-
-void LinkageService::ClearTombstone(RecordId id) {
-  std::unique_lock lock(tombstones_mu_);
-  if (tombstones_.erase(id) != 0) {
-    tombstone_count_.store(tombstones_.size(), std::memory_order_relaxed);
-  }
+  // Stable without index_mu_: a swap needs compaction_mu_ unique.
+  IndexEpoch& index = *index_;
+  std::unique_lock lock(index.mu);
+  fn(index);
 }
 
 Status LinkageService::InsertUnjournaled(const Record& record) {
@@ -286,7 +198,7 @@ Status LinkageService::InsertUnjournaled(const Record& record) {
   encode_span.End();
   if (!encoded.ok()) return encoded.status();
   telemetry::TraceSpan insert_span("insert");
-  InsertEncoded(encoded.value());
+  WithWriteLock([&](IndexEpoch& index) { index.Upsert(encoded.value()); });
   insert_span.End();
   const uint64_t end = NowNanos();
   inserts_.fetch_add(1, std::memory_order_relaxed);
@@ -325,21 +237,20 @@ Status LinkageService::JournalAppend(const MutationOp& op) {
 
 Status LinkageService::DeleteUnjournaled(RecordId id, uint64_t* sequence) {
   CBVLINK_FAILPOINT("service.delete");
-  std::shared_lock compaction_guard(compaction_mu_);
-  // Remove + tombstone under the tombstone lock, so a racing Update of
-  // the same id serializes against the delete (it would otherwise leave
-  // the id live *and* tombstoned).
-  std::unique_lock lock(tombstones_mu_);
-  if (!store_.Remove(id)) {
+  bool removed = false;
+  WithWriteLock([&](IndexEpoch& index) {
+    removed = index.store.Remove(id);
+    // Stamp the acknowledgement sequence AFTER the state change and under
+    // the write lock: a snapshot reads the floor under the same lock, so
+    // floor >= seq implies the removal is in the export.
+    if (removed) {
+      *sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+  });
+  if (!removed) {
     return Status::NotFound(
         StrFormat("record %llu is not live", static_cast<unsigned long long>(id)));
   }
-  tombstones_.insert(id);
-  tombstone_count_.store(tombstones_.size(), std::memory_order_relaxed);
-  // Stamp the acknowledgement sequence AFTER the state change: a
-  // snapshot reads the floor before exporting, so floor >= seq implies
-  // the removal is already in the export.
-  *sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
   deletes_.fetch_add(1, std::memory_order_relaxed);
   t_deletes_->Add(1);
   return Status::OK();
@@ -352,18 +263,20 @@ Status LinkageService::UpdateUnjournaled(const Record& record,
   Result<EncodedRecord> encoded = encoder_->Encode(record);
   encode_span.End();
   if (!encoded.ok()) return encoded.status();
-  std::shared_lock compaction_guard(compaction_mu_);
-  std::unique_lock lock(tombstones_mu_);
-  if (!store_.Contains(record.id)) {
+  bool live = false;
+  WithWriteLock([&](IndexEpoch& index) {
+    live = index.IsLive(record.id);
+    if (!live) return;
+    // Rewrite the slot, then index the new blocking keys.  Keys from the
+    // previous bits stay until compaction; they only ever produce
+    // candidates that classify on the new bits.
+    index.Upsert(encoded.value());
+    *sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
+  });
+  if (!live) {
     return Status::NotFound(StrFormat(
         "record %llu is not live", static_cast<unsigned long long>(record.id)));
   }
-  // Overwrite the vector, then index the new blocking keys into the
-  // current epoch.  Keys from the previous bits stay until compaction;
-  // they only ever produce candidates that classify on the new bits.
-  store_.Add(encoded.value());
-  PinIndex()->Insert(encoded.value());
-  *sequence = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
   updates_.fetch_add(1, std::memory_order_relaxed);
   t_updates_->Add(1);
   return Status::OK();
@@ -412,6 +325,16 @@ Status LinkageService::UpdateBatch(const std::vector<Record>& records) {
   return Status::OK();
 }
 
+bool LinkageService::SkipReplayed(RecordId id, uint64_t sequence) {
+  if (sequence == 0) return false;  // unsequenced frames always apply
+  if (sequence <= replay_floor_) return true;  // the snapshot covers it
+  uint64_t& newest = replayed_sequence_[id];
+  if (sequence <= newest) return true;  // a newer frame for `id` applied
+  newest = sequence;
+  AtomicMaxRelaxed(&sequence_, sequence);
+  return false;
+}
+
 Result<bool> LinkageService::ApplyMutation(const MutationOp& op) {
   switch (op.kind) {
     case MutationKind::kInsert: {
@@ -424,42 +347,35 @@ Result<bool> LinkageService::ApplyMutation(const MutationOp& op) {
       return true;
     }
     case MutationKind::kDelete: {
-      if (op.sequence != 0 &&
-          op.sequence <= sequence_.load(std::memory_order_relaxed)) {
-        return false;  // at or below the snapshot's sequence floor
+      bool applied = false;
+      WithWriteLock([&](IndexEpoch& index) {
+        if (SkipReplayed(op.record.id, op.sequence)) return;
+        applied = index.store.Remove(op.record.id);  // unknown id: no-op
+      });
+      if (applied) {
+        deletes_.fetch_add(1, std::memory_order_relaxed);
+        t_deletes_->Add(1);
       }
-      AtomicMaxRelaxed(&sequence_, op.sequence);
-      std::shared_lock compaction_guard(compaction_mu_);
-      std::unique_lock lock(tombstones_mu_);
-      if (!store_.Remove(op.record.id)) return false;  // idempotent
-      tombstones_.insert(op.record.id);
-      tombstone_count_.store(tombstones_.size(), std::memory_order_relaxed);
-      deletes_.fetch_add(1, std::memory_order_relaxed);
-      t_deletes_->Add(1);
-      return true;
+      return applied;
     }
     case MutationKind::kUpdate: {
-      if (op.sequence != 0 &&
-          op.sequence <= sequence_.load(std::memory_order_relaxed)) {
-        return false;
-      }
-      AtomicMaxRelaxed(&sequence_, op.sequence);
       Result<EncodedRecord> encoded = encoder_->Encode(op.record);
       if (!encoded.ok()) return encoded.status();
       // Upsert: in replay order the record existed when the update was
       // acknowledged, but a snapshot/journal overlap can present the
       // update before the insert frame is deduped — applying it as an
       // insert converges to the same state.
-      std::shared_lock compaction_guard(compaction_mu_);
-      std::unique_lock lock(tombstones_mu_);
-      store_.Add(encoded.value());
-      PinIndex()->Insert(encoded.value());
-      if (tombstones_.erase(op.record.id) != 0) {
-        tombstone_count_.store(tombstones_.size(), std::memory_order_relaxed);
+      bool applied = false;
+      WithWriteLock([&](IndexEpoch& index) {
+        if (SkipReplayed(op.record.id, op.sequence)) return;
+        index.Upsert(encoded.value());
+        applied = true;
+      });
+      if (applied) {
+        updates_.fetch_add(1, std::memory_order_relaxed);
+        t_updates_->Add(1);
       }
-      updates_.fetch_add(1, std::memory_order_relaxed);
-      t_updates_->Add(1);
-      return true;
+      return applied;
     }
   }
   return Status::InvalidArgument("unknown mutation kind");
@@ -476,7 +392,25 @@ std::shared_ptr<Journal> LinkageService::journal() const {
 }
 
 bool LinkageService::Contains(RecordId id) const {
-  return store_.Contains(id);
+  const std::shared_ptr<IndexEpoch> index = PinIndex();
+  std::shared_lock lock(index->mu);
+  return index->IsLive(id);
+}
+
+size_t LinkageService::size() const {
+  const std::shared_ptr<IndexEpoch> index = PinIndex();
+  std::shared_lock lock(index->mu);
+  return index->store.live_size();
+}
+
+size_t LinkageService::tombstone_count() const {
+  const std::shared_ptr<IndexEpoch> index = PinIndex();
+  std::shared_lock lock(index->mu);
+  return index->store.dead_count();
+}
+
+size_t LinkageService::blocking_groups() const {
+  return PinIndex()->blocker.L();
 }
 
 Result<JournalReplayStats> LinkageService::ReplayJournalFile(
@@ -504,81 +438,68 @@ Result<uint64_t> LinkageService::MergeSnapshotRecords(
           "snapshot record width does not match this service's encoder");
     }
   }
-  uint64_t applied = 0;
-  std::unordered_set<RecordId> snapshot_live;
-  snapshot_live.reserve(snapshot.records.size());
-  for (const EncodedRecord& record : snapshot.records) {
-    snapshot_live.insert(record.id);
-    if (Contains(record.id)) continue;
-    InsertEncoded(record);
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-    t_inserts_->Add(1);
-    ++applied;
-  }
-  // Reconcile deletions.  The snapshot is newer than every local frame
-  // (it is fetched precisely because the local cursor fell behind), so
-  // its verdict on each id is authoritative: tombstoned there -> dead
-  // here; live neither there nor in its tombstones -> the primary
-  // deleted it and compaction already cleared the tombstone -> dead here
-  // too.
-  const std::unordered_set<RecordId> snapshot_tombstones(
-      snapshot.tombstones.begin(), snapshot.tombstones.end());
-  std::vector<RecordId> to_delete(snapshot.tombstones.begin(),
-                                  snapshot.tombstones.end());
-  store_.ForEach([&](RecordId id, const BitVector&) {
-    if (!snapshot_live.contains(id) && !snapshot_tombstones.contains(id)) {
-      to_delete.push_back(id);
+  std::unordered_set<RecordId> known;
+  known.reserve(snapshot.records.size() + snapshot.tombstones.size());
+  for (const EncodedRecord& record : snapshot.records) known.insert(record.id);
+  known.insert(snapshot.tombstones.begin(), snapshot.tombstones.end());
+  uint64_t inserted = 0;
+  uint64_t deleted = 0;
+  WithWriteLock([&](IndexEpoch& index) {
+    for (const EncodedRecord& record : snapshot.records) {
+      if (index.IsLive(record.id)) continue;
+      index.Upsert(record);
+      ++inserted;
     }
+    // Reconcile deletions.  The snapshot is newer than every local frame
+    // (it is fetched precisely because the local cursor fell behind), so
+    // its verdict on each id is authoritative: tombstoned there -> dead
+    // here; live neither there nor in its tombstones -> the primary
+    // deleted it and compaction already cleared the tombstone -> dead
+    // here too.
+    for (RecordId id : snapshot.tombstones) deleted += index.store.Remove(id);
+    for (uint32_t dense = 0; dense < index.store.size(); ++dense) {
+      const RecordId id = index.store.IdAt(dense);
+      if (!index.store.IsDead(dense) && !known.contains(id)) {
+        deleted += index.store.Remove(id);
+      }
+    }
+    replay_floor_ = std::max(replay_floor_, snapshot.last_sequence);
+    std::erase_if(replayed_sequence_, [this](const auto& entry) {
+      return entry.second <= replay_floor_;
+    });
+    AtomicMaxRelaxed(&sequence_, snapshot.last_sequence);
   });
-  AtomicMaxRelaxed(&sequence_, snapshot.last_sequence);
-  for (RecordId id : to_delete) {
-    std::shared_lock compaction_guard(compaction_mu_);
-    std::unique_lock lock(tombstones_mu_);
-    if (!store_.Remove(id)) continue;
-    tombstones_.insert(id);
-    tombstone_count_.store(tombstones_.size(), std::memory_order_relaxed);
-    deletes_.fetch_add(1, std::memory_order_relaxed);
-    t_deletes_->Add(1);
-    ++applied;
-  }
-  return applied;
+  inserts_.fetch_add(inserted, std::memory_order_relaxed);
+  t_inserts_->Add(inserted);
+  deletes_.fetch_add(deleted, std::memory_order_relaxed);
+  t_deletes_->Add(deleted);
+  return inserted + deleted;
 }
 
 Status LinkageService::Compact() {
   // Exclusive against mutators (they hold compaction_mu_ shared): from
-  // here to the epoch swap the live set is frozen, so the rebuilt index
+  // here to the epoch swap the live set is frozen, so the rebuilt epoch
   // covers exactly the survivors.  Match never takes this lock — readers
   // keep serving the old epoch throughout; this exclusive section is the
   // "compaction pause" and it stalls writes only.
   const uint64_t pause_start = NowNanos();
   std::unique_lock compaction_guard(compaction_mu_);
-  const std::vector<EncodedRecord> survivors = store_.Export();
-  ShardedIndexOptions index_options;
-  index_options.num_shards = options_.num_shards;
-  index_options.max_bucket_size = options_.max_bucket_size;
-  Result<ShardedHammingIndex> rebuilt =
-      ShardedHammingIndex::Create(*family_, index_options);
-  if (!rebuilt.ok()) return rebuilt.status();
-  auto fresh =
-      std::make_shared<ShardedHammingIndex>(std::move(rebuilt).value());
-  // Deterministic re-block: BulkInsert over id-sorted survivors produces
+  const IndexEpoch& old = *index_;
+  // Deterministic rebuild: BulkInsert over id-sorted survivors produces
   // the same buckets a fresh build of the live set would.
-  fresh->BulkInsert(survivors, pool_);
-  uint64_t reclaimed = 0;
+  const std::vector<EncodedRecord> survivors = old.LiveRecords();
+  auto fresh = std::make_shared<IndexEpoch>(old.blocker.EmptyCopy());
+  fresh->store.AddAll(survivors);
+  fresh->blocker.BulkInsert(survivors, pool_);
+  const size_t before = old.blocker.TotalEntries();
+  const size_t after = fresh->blocker.TotalEntries();
+  const uint64_t reclaimed = before > after ? before - after : 0;
   {
     // Publish the new epoch.  In-flight Matches pinned the old
-    // shared_ptr and drain on it; the old index is retired when the last
+    // shared_ptr and drain on it; the old epoch is retired when the last
     // pin drops.
     std::unique_lock swap_lock(index_mu_);
-    const size_t before = index_->NumEntries();
-    const size_t after = fresh->NumEntries();
-    reclaimed = before > after ? before - after : 0;
     index_ = std::move(fresh);
-  }
-  {
-    std::unique_lock lock(tombstones_mu_);
-    tombstones_.clear();
-    tombstone_count_.store(0, std::memory_order_relaxed);
   }
   compactions_.fetch_add(1, std::memory_order_relaxed);
   compaction_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
@@ -594,11 +515,10 @@ void LinkageService::CompactorLoop() {
     compactor_cv_.wait_for(lock, options_.compaction_interval,
                            [this] { return compactor_stop_; });
     if (compactor_stop_) break;
-    const uint64_t dead = tombstone_count_.load(std::memory_order_relaxed);
-    if (dead == 0) continue;
-    const size_t live = store_.size();
-    const double ratio =
-        static_cast<double>(dead) / static_cast<double>(dead + live);
+    const ServiceMetrics m = metrics();
+    if (m.tombstones == 0) continue;
+    const double ratio = static_cast<double>(m.tombstones) /
+                         static_cast<double>(m.tombstones + m.live_records);
     if (ratio < options_.compaction_dead_ratio) continue;
     lock.unlock();
     Status st = Compact();
@@ -628,106 +548,46 @@ void LinkageService::StopBackgroundCompaction() {
   if (worker.joinable()) worker.join();
 }
 
-void LinkageService::MatchEncoded(const EncodedRecord& b,
-                                  std::vector<IdPair>* out) const {
-  std::vector<RecordId> candidates;
-  bool saw_overflow = false;
-  telemetry::TraceSpan candidates_span("candidates");
-  // Pin the index epoch for the whole probe: the compactor may publish a
-  // successor mid-call, but this Match keeps reading the epoch it
-  // started on (the shared_ptr refcount retires the old index after the
-  // last in-flight reader drains).
-  const std::shared_ptr<ShardedHammingIndex> index = PinIndex();
-  index->Collect(b.bits, &candidates, &saw_overflow);
-  candidate_occurrences_.fetch_add(candidates.size(),
+void LinkageService::Probe(const EncodedRecord& b,
+                           std::vector<IdPair>* out) const {
+  CBVLINK_FAILPOINT_DELAY("index.collect");
+  // Per-thread probe state; the stamp array grows to the largest store
+  // this thread has probed.
+  thread_local Matcher::Scratch scratch;
+  MatchStats stats;
+  const size_t first = out->size();
+  {
+    // Pin the epoch for the whole probe: the compactor may publish a
+    // successor mid-call, but this Match keeps reading the epoch it
+    // started on.  The shared lock only waits out a writer's one-record
+    // update.
+    const std::shared_ptr<IndexEpoch> index = PinIndex();
+    std::shared_lock lock(index->mu);
+    telemetry::TraceSpan candidates_span("candidates");
+    index->matcher.Collect(b.bits, &scratch, &stats);
+    candidates_span.Annotate("occurrences", stats.candidate_occurrences);
+    candidates_span.Annotate("candidates", scratch.num_staged());
+    candidates_span.End();
+
+    telemetry::TraceSpan compare_span("compare");
+    index->matcher.Compare(b, classifier_, &scratch, out, &stats);
+    compare_span.Annotate("compared", stats.comparisons);
+    compare_span.Annotate("matched", stats.matches);
+  }
+  // Registry-id order makes a query's output independent of bucket
+  // order, so it is byte-identical across compaction and restore.
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end());
+  candidate_occurrences_.fetch_add(stats.candidate_occurrences,
                                    std::memory_order_relaxed);
-  t_candidates_->Add(candidates.size());
-  candidates_span.Annotate("occurrences", candidates.size());
-  // Algorithm 2's unique collection C, as sort+unique over the gathered
-  // occurrences (cheaper than a hash set at bucket-sized cardinalities).
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  candidates_span.Annotate("candidates", candidates.size());
-  candidates_span.Annotate("overflow", saw_overflow ? 1 : 0);
-  candidates_span.End();
-
-  telemetry::TraceSpan compare_span("compare");
-  uint64_t compared = 0;
-  uint64_t matched = 0;
-  size_t theta = 0;
-  if (classifier_.AsWholeRecordThreshold(encoder_->total_bits(), &theta)) {
-    // Batched path (DESIGN.md §14): gather the candidates' words into a
-    // flat buffer (one CopyWords per id under its shard lock), then run
-    // the active batch kernel over the contiguous rows.  Same compared /
-    // matched counts and the same id-sorted emit order as the per-pair
-    // loop below.
-    const size_t num_words = b.bits.words().size();
-    std::vector<uint64_t> gathered(candidates.size() * num_words);
-    std::vector<RecordId> present;
-    present.reserve(candidates.size());
-    for (RecordId id : candidates) {
-      if (!store_.CopyWords(id, num_words,
-                            gathered.data() + present.size() * num_words)) {
-        continue;  // indexed but not yet stored
-      }
-      present.push_back(id);
-    }
-    const size_t n = present.size();
-    compared += n;
-    if (n != 0) {
-      std::vector<uint8_t> verdicts(n);
-      KernelBatchLeq(ActiveKernels(), b.bits.words().data(), gathered.data(),
-                     num_words, /*dense=*/nullptr, n, num_words, theta,
-                     verdicts.data());
-      for (size_t i = 0; i < n; ++i) {
-        if (verdicts[i] != 0) {
-          ++matched;
-          out->push_back(IdPair{present[i], b.id});
-        }
-      }
-    }
-  } else {
-    BitVector scratch;
-    for (RecordId id : candidates) {
-      if (!store_.Find(id, &scratch)) continue;  // indexed but not yet stored
-      ++compared;
-      if (classifier_(scratch, b.bits)) {
-        ++matched;
-        out->push_back(IdPair{id, b.id});
-      }
-    }
-  }
-
-  if (saw_overflow &&
-      options_.overflow_policy == OverflowPolicy::kScanFallback) {
-    // A probed bucket dropped entries: preserve recall by scanning the
-    // store, skipping ids the blocked path already compared.
-    scan_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    t_scan_fallbacks_->Add(1);
-    store_.ForEach([&](RecordId id, const BitVector& bits) {
-      if (std::binary_search(candidates.begin(), candidates.end(), id)) {
-        return;
-      }
-      ++compared;
-      if (classifier_(bits, b.bits)) {
-        ++matched;
-        out->push_back(IdPair{id, b.id});
-      }
-    });
-  }
-
-  compare_span.Annotate("compared", compared);
-  compare_span.Annotate("matched", matched);
-  compare_span.End();
-  comparisons_.fetch_add(compared, std::memory_order_relaxed);
-  matches_.fetch_add(matched, std::memory_order_relaxed);
+  comparisons_.fetch_add(stats.comparisons, std::memory_order_relaxed);
+  matches_.fetch_add(stats.matches, std::memory_order_relaxed);
   // Match-funnel telemetry: candidates -> comparisons -> matches.  The
   // ratios are the paper's RR/PQ analogues at serving time (a drifting
   // comparisons/candidates ratio means the Eq. 2 tables stopped
   // discriminating).
-  t_comparisons_->Add(compared);
-  t_matches_->Add(matched);
+  t_candidates_->Add(stats.candidate_occurrences);
+  t_comparisons_->Add(stats.comparisons);
+  t_matches_->Add(stats.matches);
 }
 
 Status LinkageService::Match(const Record& record,
@@ -738,7 +598,7 @@ Status LinkageService::Match(const Record& record,
   Result<EncodedRecord> encoded = encoder_->Encode(record);
   encode_span.End();
   if (!encoded.ok()) return encoded.status();
-  MatchEncoded(encoded.value(), out);
+  Probe(encoded.value(), out);
   const uint64_t end = NowNanos();
   queries_.fetch_add(1, std::memory_order_relaxed);
   RecordSpan(start, end, &query_nanos_, &first_query_start_ns_,
@@ -757,7 +617,7 @@ Status LinkageService::MatchAndInsert(const Record& record,
   Result<EncodedRecord> encoded = encoder_->Encode(record);
   encode_span.End();
   if (!encoded.ok()) return encoded.status();
-  MatchEncoded(encoded.value(), out);
+  Probe(encoded.value(), out);
   const uint64_t mid = NowNanos();
   queries_.fetch_add(1, std::memory_order_relaxed);
   RecordSpan(start, mid, &query_nanos_, &first_query_start_ns_,
@@ -765,7 +625,7 @@ Status LinkageService::MatchAndInsert(const Record& record,
   t_queries_->Add(1);
   t_query_latency_->Record((mid - start) / 1000);
   telemetry::TraceSpan insert_span("insert");
-  InsertEncoded(encoded.value());
+  WithWriteLock([&](IndexEpoch& index) { index.Upsert(encoded.value()); });
   insert_span.End();
   const uint64_t end = NowNanos();
   inserts_.fetch_add(1, std::memory_order_relaxed);
@@ -777,34 +637,34 @@ Status LinkageService::MatchAndInsert(const Record& record,
 }
 
 Status LinkageService::InsertBatch(const std::vector<Record>& records) {
-  std::mutex mu;
-  Status first_error;
+  CBVLINK_FAILPOINT("service.insert");
   telemetry::ScopedTimer batch_timer(t_batch_latency_);
-  // Carry the caller's trace onto the pool threads: each chunk records
-  // its own span into the request's collector (slot claiming makes the
-  // concurrent writes safe; ParallelFor's completion orders the reads).
-  const telemetry::TraceContext parent_ctx = telemetry::CurrentTraceContext();
-  pool_->ParallelFor(records.size(),
-                     [&](size_t /*chunk*/, size_t begin, size_t end) {
-                       telemetry::ScopedTraceContext scope(
-                           parent_ctx.collector, parent_ctx.parent_span_id);
-                       telemetry::TraceSpan chunk_span("insert_chunk");
-                       chunk_span.Annotate("begin", begin);
-                       chunk_span.Annotate("count", end - begin);
-                       for (size_t i = begin; i < end; ++i) {
-                         Status st = InsertUnjournaled(records[i]);
-                         if (!st.ok()) {
-                           std::scoped_lock lock(mu);
-                           if (first_error.ok()) first_error = st;
-                           return;
-                         }
-                       }
-                     });
-  if (!first_error.ok()) return first_error;
-  // Journal in record order after the parallel apply, so the journal's
-  // frame order is deterministic for a given batch; sync once at the
-  // batch boundary so the whole batch is durable before the caller's
-  // acknowledgement even under a relaxed per-append fsync policy.
+  const uint64_t start = NowNanos();
+  telemetry::TraceSpan encode_span("encode");
+  Result<std::vector<EncodedRecord>> encoded =
+      encoder_->EncodeAll(records, pool_);
+  encode_span.End();
+  if (!encoded.ok()) return encoded.status();
+  // Index on this thread, in record order.  The pool must not be used
+  // under the write lock: its workers may be blocked on the epoch lock
+  // serving another caller's MatchBatch.
+  telemetry::TraceSpan insert_span("insert");
+  const std::vector<EncodedRecord>& rows = encoded.value();
+  for (size_t begin = 0; begin < rows.size(); begin += kInsertSlice) {
+    const size_t end = std::min(rows.size(), begin + kInsertSlice);
+    WithWriteLock([&](IndexEpoch& index) {
+      for (size_t i = begin; i < end; ++i) index.Upsert(rows[i]);
+    });
+  }
+  insert_span.Annotate("records", rows.size());
+  insert_span.End();
+  inserts_.fetch_add(rows.size(), std::memory_order_relaxed);
+  RecordSpan(start, NowNanos(), &insert_nanos_, &first_insert_start_ns_,
+             &last_insert_end_ns_);
+  t_inserts_->Add(rows.size());
+  // Journal in record order, then sync once at the batch boundary so the
+  // whole batch is durable before the caller's acknowledgement even
+  // under a relaxed per-append fsync policy.
   std::shared_ptr<Journal> journal = this->journal();
   if (journal != nullptr) {
     telemetry::TraceSpan journal_span("journal");
@@ -853,16 +713,6 @@ Status LinkageService::MatchBatch(const std::vector<Record>& records,
 
 ServiceSnapshot LinkageService::ExportSnapshot() const {
   ServiceSnapshot snapshot;
-  // Shared against the compactor only: an epoch swap or tombstone sweep
-  // mid-export would tear the buckets/records/tombstones triple apart.
-  // Mutators also hold this lock shared, so they are unaffected.
-  std::shared_lock compaction_guard(compaction_mu_);
-  // Read the sequence floor FIRST: any delete/update stamped at or below
-  // it completed before this point (the sequence is assigned after the
-  // state change), so its effect is in the export below and replay may
-  // skip the frame.  Later-stamped mutations may or may not be captured;
-  // their frames stay above the floor and replay re-applies them.
-  snapshot.last_sequence = sequence_.load(std::memory_order_relaxed);
   for (const AttributeSpec& attr : config_.schema.attributes) {
     snapshot.attributes.push_back(SnapshotAttribute{
         attr.name, attr.alphabet->symbols(), attr.qgram.q, attr.qgram.pad});
@@ -875,32 +725,32 @@ ServiceSnapshot LinkageService::ExportSnapshot() const {
   snapshot.sizing_max_collisions = config_.sizing.max_collisions;
   snapshot.sizing_confidence_ratio = config_.sizing.confidence_ratio;
   snapshot.seed = config_.seed;
-  snapshot.num_shards = options_.num_shards;
-  snapshot.max_bucket_size = options_.max_bucket_size;
-  snapshot.overflow_policy = static_cast<uint32_t>(options_.overflow_policy);
-  // Buckets before records: Insert() stores the vector before indexing
-  // it, so every id visible in a bucket here is already in the store —
-  // the later record export can only be a superset, and Restore()'s
-  // bucket-ids-are-stored invariant holds even when inserts race the
-  // snapshot.
-  snapshot.buckets = PinIndex()->ExportBuckets();
-  snapshot.records = store_.Export();
-  {
-    std::shared_lock lock(tombstones_mu_);
-    snapshot.tombstones.assign(tombstones_.begin(), tombstones_.end());
-  }
-  // A racing resurrect (insert of a tombstoned id) between the record
-  // export and the tombstone read can list an id in both sets; keep the
-  // record (the insert frame is journaled, so replay converges) and drop
-  // the tombstone so the snapshot stays self-consistent.
-  {
-    std::unordered_set<RecordId> live;
-    live.reserve(snapshot.records.size());
-    for (const EncodedRecord& record : snapshot.records) live.insert(record.id);
-    std::erase_if(snapshot.tombstones,
-                  [&](RecordId id) { return live.contains(id); });
-  }
+  // num_shards / max_bucket_size / overflow_policy keep their struct
+  // defaults: valid values the service no longer acts on.
+
+  // Shared against the compactor, so no epoch swap lands mid-export, and
+  // the epoch lock shared, so no mutation does: the sequence floor, the
+  // records, the tombstones and the buckets are one consistent cut.
+  // Writers wait for the in-memory copy; readers do not.
+  std::shared_lock compaction_guard(compaction_mu_);
+  const std::shared_ptr<IndexEpoch> index = PinIndex();
+  std::shared_lock lock(index->mu);
+  snapshot.last_sequence = sequence_.load(std::memory_order_relaxed);
+  snapshot.records = index->LiveRecords();
+  snapshot.tombstones = index->store.DeadIds();
   std::sort(snapshot.tombstones.begin(), snapshot.tombstones.end());
+  const std::vector<BlockingTable>& tables = index->blocker.tables();
+  for (size_t l = 0; l < tables.size(); ++l) {
+    const size_t first = snapshot.buckets.size();
+    for (const auto& [key, ids] : tables[l].buckets()) {
+      snapshot.buckets.push_back(IndexBucketSnapshot{l, key, false, ids});
+    }
+    std::sort(snapshot.buckets.begin() + static_cast<std::ptrdiff_t>(first),
+              snapshot.buckets.end(),
+              [](const IndexBucketSnapshot& a, const IndexBucketSnapshot& b) {
+                return a.key < b.key;
+              });
+  }
   return snapshot;
 }
 
@@ -1025,50 +875,39 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
   config.sizing.confidence_ratio = snapshot.sizing_confidence_ratio;
   config.seed = snapshot.seed;
 
-  LinkageServiceOptions options;
-  options.num_shards = static_cast<size_t>(snapshot.num_shards);
-  options.max_bucket_size = static_cast<size_t>(snapshot.max_bucket_size);
-  options.overflow_policy =
-      snapshot.overflow_policy == 0 ? OverflowPolicy::kTruncate
-                                    : OverflowPolicy::kScanFallback;
+  Result<std::unique_ptr<LinkageService>> created = Create(std::move(config));
+  if (!created.ok()) return created.status();
+  LinkageService& service = *created.value();
+  service.owned_alphabets_ = std::move(alphabets);
 
-  Result<std::unique_ptr<LinkageService>> service =
-      Create(std::move(config), options);
-  if (!service.ok()) return service.status();
-  service.value()->owned_alphabets_ = std::move(alphabets);
-
-  const size_t expected_bits = service.value()->encoder_->total_bits();
+  const size_t expected_bits = service.encoder_->total_bits();
   for (const EncodedRecord& record : snapshot.records) {
     if (record.bits.size() != expected_bits) {
       return Status::InvalidArgument(
           "snapshot record width does not match the restored encoder");
     }
   }
-  // Widths validated; load the store over the service pool (Add is
-  // thread-safe and ids are unique, so the result is order-independent)
-  // and the buckets through the index's shard-parallel restore.
-  ThreadPool* pool = service.value()->pool_;
-  pool->ParallelFor(snapshot.records.size(),
-                    [&](size_t, size_t begin, size_t end) {
-                      for (size_t i = begin; i < end; ++i) {
-                        service.value()->store_.Add(snapshot.records[i]);
-                      }
-                    });
-  CBVLINK_RETURN_NOT_OK(
-      service.value()->index_->BulkRestore(snapshot.buckets, pool));
-  service.value()->inserts_.store(snapshot.records.size(),
-                                  std::memory_order_relaxed);
+  // Widths validated; nothing else can see the service yet, so load
+  // without locks.  The tables are rebuilt from the records (the
+  // persisted buckets were only validated): this drops stale entries,
+  // exactly as a compaction would.
+  IndexEpoch& index = *service.index_;
+  index.store.AddAll(snapshot.records);
   // Mutation state (version 3+; defaults for older snapshots): restored
-  // tombstones keep deleted records dead across the restart, and the
-  // sequence floor lets journal replay skip delete/update frames the
-  // snapshot already reflects.
-  service.value()->tombstones_.insert(snapshot.tombstones.begin(),
-                                      snapshot.tombstones.end());
-  service.value()->tombstone_count_.store(
-      service.value()->tombstones_.size(), std::memory_order_relaxed);
-  service.value()->sequence_.store(snapshot.last_sequence,
-                                   std::memory_order_relaxed);
-  return service;
+  // tombstones keep deleted records dead across the restart — as dead
+  // slots, whose words are never compared — and the sequence floor lets
+  // journal replay skip delete/update frames the snapshot already
+  // reflects.
+  const BitVector unused(expected_bits);
+  for (RecordId id : snapshot.tombstones) {
+    index.store.Add(EncodedRecord{id, unused});
+    index.store.Remove(id);
+  }
+  index.blocker.BulkInsert(snapshot.records, service.pool_);
+  service.inserts_.store(snapshot.records.size(), std::memory_order_relaxed);
+  service.sequence_.store(snapshot.last_sequence, std::memory_order_relaxed);
+  service.replay_floor_ = snapshot.last_sequence;
+  return created;
 }
 
 Result<std::unique_ptr<LinkageService>> LinkageService::RestoreFromFile(
@@ -1111,8 +950,12 @@ ServiceMetrics LinkageService::metrics() const {
   m.inserts = inserts_.load(std::memory_order_relaxed);
   m.deletes = deletes_.load(std::memory_order_relaxed);
   m.updates = updates_.load(std::memory_order_relaxed);
-  m.live_records = store_.size();
-  m.tombstones = tombstone_count_.load(std::memory_order_relaxed);
+  {
+    const std::shared_ptr<IndexEpoch> index = PinIndex();
+    std::shared_lock lock(index->mu);
+    m.live_records = index->store.live_size();
+    m.tombstones = index->store.dead_count();
+  }
   m.compactions = compactions_.load(std::memory_order_relaxed);
   m.compaction_reclaimed =
       compaction_reclaimed_.load(std::memory_order_relaxed);
@@ -1121,10 +964,8 @@ ServiceMetrics LinkageService::metrics() const {
       candidate_occurrences_.load(std::memory_order_relaxed);
   m.comparisons = comparisons_.load(std::memory_order_relaxed);
   m.matches = matches_.load(std::memory_order_relaxed);
-  m.scan_fallbacks = scan_fallbacks_.load(std::memory_order_relaxed);
   m.restore_fallbacks = restore_fallbacks_.load(std::memory_order_relaxed);
   m.skipped_rows = skipped_rows_.load(std::memory_order_relaxed);
-  m.dropped_entries = PinIndex()->dropped_entries();
   m.insert_seconds =
       static_cast<double>(insert_nanos_.load(std::memory_order_relaxed)) * 1e-9;
   m.query_seconds =
@@ -1158,37 +999,54 @@ void LinkageService::FillTelemetry(telemetry::Registry* registry) const {
   reg.GetGauge(telemetry::LabeledName("hamming_kernel_active", "kernel",
                                       ActiveKernels().name))
       ->Set(1.0);
-  reg.GetGauge("service_records")->Set(static_cast<double>(store_.size()));
-  reg.GetGauge("service_shards")
-      ->Set(static_cast<double>(options_.num_shards));
   const ServiceMetrics m = metrics();
+  reg.GetGauge("service_records")->Set(static_cast<double>(m.live_records));
+  // One index epoch serves every query (the series predates it).
+  reg.GetGauge("service_shards")->Set(1.0);
   reg.GetGauge("service_query_wall_seconds")->Set(m.query_wall_seconds);
   reg.GetGauge("service_insert_wall_seconds")->Set(m.insert_wall_seconds);
   reg.GetGauge("service_queries_per_second")->Set(m.QueriesPerSecond());
 
   // Mutation-lifecycle gauges: live vs dead is the compactor's trigger
   // ratio, surfaced so operators can see reclaim pressure build.
-  reg.GetGauge("index_live")->Set(static_cast<double>(store_.size()));
-  reg.GetGauge("index_dead")->Set(static_cast<double>(
-      tombstone_count_.load(std::memory_order_relaxed)));
+  const double live = static_cast<double>(m.live_records);
+  const double dead = static_cast<double>(m.tombstones);
+  reg.GetGauge("index_live")->Set(live);
+  reg.GetGauge("index_dead")->Set(dead);
   reg.GetGauge("compaction_tombstone_ratio")
-      ->Set([&]() -> double {
-        const double dead = static_cast<double>(
-            tombstone_count_.load(std::memory_order_relaxed));
-        const double live = static_cast<double>(store_.size());
-        return dead + live == 0 ? 0.0 : dead / (dead + live);
-      }());
+      ->Set(dead + live == 0 ? 0.0 : dead / (dead + live));
 
-  const std::shared_ptr<ShardedHammingIndex> index = PinIndex();
-  const IndexHealth health = index->CollectHealth();
-  reg.GetGauge("lsh_tables")->Set(static_cast<double>(index->L()));
-  reg.GetGauge("lsh_k")->Set(static_cast<double>(index->K()));
-  reg.GetGauge("lsh_dropped_entries")
-      ->Set(static_cast<double>(health.dropped_entries));
-  reg.GetGauge("lsh_overflowed_buckets")
-      ->Set(static_cast<double>(health.overflowed_buckets));
-  for (size_t l = 0; l < health.tables.size(); ++l) {
-    const TableHealth& table = health.tables[l];
+  // Per-table LSH health, copied out under one shared hold of the epoch
+  // lock and published after it drops.
+  struct TableHealth {
+    size_t buckets, entries, max_bucket;
+    double mean_bucket;
+  };
+  std::vector<TableHealth> health;
+  // Cross-table occupancy: bin k counts buckets of size in
+  // [2^k, 2^(k+1)).  All bins are always exported so a scrape sees the
+  // full distribution shape, including its zeros.
+  std::vector<uint64_t> occupancy(kOccupancySlots, 0);
+  size_t K = 0;
+  {
+    const std::shared_ptr<IndexEpoch> index = PinIndex();
+    std::shared_lock lock(index->mu);
+    K = index->blocker.K();
+    for (const BlockingTable& table : index->blocker.tables()) {
+      health.push_back(TableHealth{table.NumBuckets(), table.NumEntries(),
+                                   table.MaxBucketSize(),
+                                   table.MeanBucketSize()});
+      const std::vector<uint64_t> bins =
+          table.OccupancyHistogram(kOccupancySlots);
+      for (size_t bin = 0; bin < kOccupancySlots; ++bin) {
+        occupancy[bin] += bins[bin];
+      }
+    }
+  }
+  reg.GetGauge("lsh_tables")->Set(static_cast<double>(health.size()));
+  reg.GetGauge("lsh_k")->Set(static_cast<double>(K));
+  for (size_t l = 0; l < health.size(); ++l) {
+    const TableHealth& table = health[l];
     const std::string label = StrFormat("%zu", l);
     reg.GetGauge(telemetry::LabeledName("lsh_table_buckets", "table", label))
         ->Set(static_cast<double>(table.buckets));
@@ -1201,13 +1059,10 @@ void LinkageService::FillTelemetry(telemetry::Registry* registry) const {
            telemetry::LabeledName("lsh_table_mean_bucket", "table", label))
         ->Set(table.mean_bucket);
   }
-  // Cross-table occupancy: bin k counts buckets of size in
-  // [2^k, 2^(k+1)).  All bins are always exported so a scrape sees the
-  // full distribution shape, including its zeros.
-  for (size_t bin = 0; bin < IndexHealth::kOccupancySlots; ++bin) {
+  for (size_t bin = 0; bin < kOccupancySlots; ++bin) {
     reg.GetGauge(telemetry::LabeledName("lsh_bucket_occupancy", "size_log2",
                                         StrFormat("%zu", bin)))
-        ->Set(static_cast<double>(health.occupancy[bin]));
+        ->Set(static_cast<double>(occupancy[bin]));
   }
 }
 

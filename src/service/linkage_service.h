@@ -2,33 +2,37 @@
 //
 // The introduction motivates 120-bit embeddings with "nearly real-time
 // analysis ... involving streaming data"; this facade turns the one-shot
-// pipeline into that service: a fixed encoder, a sharded blocking index
-// (src/service/sharded_index.h), and a concurrent vector store behind
-// thread-safe Match / MatchAndInsert calls, batch APIs driven by a thread
-// pool, per-call latency and volume counters, and snapshot/restore so a
-// restarted process resumes warm from disk (src/io/serialization.h).
+// pipeline into that service.  It runs the offline engine — a fixed
+// encoder, a VectorStore arena, a RecordLevelBlocker (§4.2's HB tables)
+// and a Matcher (Algorithm 2) — behind thread-safe Match /
+// MatchAndInsert calls, batch APIs driven by a thread pool, per-call
+// latency and volume counters, and snapshot/restore so a restarted
+// process resumes warm from disk (src/io/serialization.h).
 //
-// Concurrency model: Match is wait-free against other Matches (shared
-// locks only); Insert takes exclusive locks one shard at a time.  A
-// MatchAndInsert is atomic per shard, not globally: two concurrent
-// arrivals of the same entity may each miss the other (both match before
-// either inserts) — the same anomaly any eventually-consistent ingest
-// path has, and why batch deduplication remains available offline.
+// Concurrency model (DESIGN.md §15): the store and the tables form one
+// index epoch behind one std::shared_mutex.  A Match pins the epoch and
+// holds its lock shared for one Matcher probe, so Matches never block
+// each other.  Writers encode outside the lock and hold it exclusively
+// only for the store Add/Remove and the blocking-key inserts.  A
+// MatchAndInsert is not atomic: two concurrent arrivals of the same
+// entity may each miss the other (both match before either inserts) —
+// the same anomaly any eventually-consistent ingest path has, and why
+// batch deduplication remains available offline.
 //
-// Mutation lifecycle (DESIGN.md §15): Delete tombstones a record in O(1)
-// — the vector leaves the store, the id joins the tombstone set, and the
-// blocking tables keep their (now stale) entries, which the matcher
-// skips because the store lookup fails.  Update re-encodes in place and
-// inserts the new blocking keys; stale keys produce candidates that
-// classify on the *current* bits, so results match a fresh build.  A
-// background compactor reclaims the stale entries: it rebuilds the index
-// from the live survivors offline and publishes it with an atomic
-// shared_ptr swap — readers pin the index epoch by holding the
-// shared_ptr, so an in-flight Match keeps its epoch until it drains and
-// never observes torn state; match output is byte-identical before and
-// after compaction at any thread count.  Mutators hold a shared
+// Mutation lifecycle: Delete tombstones a record in O(1) — one bit in
+// the store's dead-slot bitmap; the blocking tables keep their (now
+// stale) entries, which the matcher skips.  Update is Remove + Add,
+// which resurrects the slot in place with the new bits, plus an insert
+// of the new blocking keys; old keys only produce candidates that
+// classify on the current bits.  A background compactor reclaims the
+// stale entries: it builds a fresh epoch from the live slots and
+// publishes it with an atomic shared_ptr swap.  Readers pin the epoch by
+// holding the shared_ptr, so an in-flight Match keeps its epoch until it
+// drains and never observes torn state.  Mutators hold a shared
 // compaction lock; only the compactor's rebuild+swap takes it exclusive,
-// so compaction stalls writes (briefly) but never reads.
+// so compaction stalls writes but never reads.  Each query's pairs are
+// ordered by registry id, so match output is byte-identical before and
+// after compaction at any thread count.
 
 #ifndef CBVLINK_SERVICE_LINKAGE_SERVICE_H_
 #define CBVLINK_SERVICE_LINKAGE_SERVICE_H_
@@ -44,16 +48,15 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/blocking/matcher.h"
 #include "src/common/execution.h"
+#include "src/common/function_ref.h"
 #include "src/common/thread_pool.h"
 #include "src/io/journal.h"
 #include "src/io/serialization.h"
 #include "src/linkage/cbv_hb_linker.h"
-#include "src/service/sharded_index.h"
 #include "src/text/alphabet.h"
 
 namespace cbvlink {
@@ -64,23 +67,8 @@ class Histogram;
 class Registry;
 }  // namespace telemetry
 
-/// What a query does when a probed bucket hit the bucket-size cap.
-enum class OverflowPolicy : uint32_t {
-  /// Accept the capped bucket as-is (bounded latency, possible recall
-  /// loss on the overpopulated key).
-  kTruncate = 0,
-  /// Additionally scan the whole vector store for that query, so recall
-  /// is preserved at a latency cost paid only by affected queries.
-  kScanFallback = 1,
-};
-
 /// Service-layer options on top of CbvHbConfig.
 struct LinkageServiceOptions {
-  /// Lock shards for the blocking index and the vector store.
-  size_t num_shards = 16;
-  /// Bucket entry cap; 0 = unlimited.
-  size_t max_bucket_size = 0;
-  OverflowPolicy overflow_policy = OverflowPolicy::kScanFallback;
   /// Execution policy for the batch APIs and snapshot restore.  A
   /// supplied pool is borrowed (must outlive the service); otherwise the
   /// service owns a pool of `execution.num_threads` workers
@@ -110,8 +98,9 @@ struct ServiceMetrics {
   uint64_t candidate_occurrences = 0;
   uint64_t comparisons = 0;
   uint64_t matches = 0;
+  /// Always 0: the service caps no bucket, so it never falls back to a
+  /// full scan.  Kept so existing readers of the field keep working.
   uint64_t scan_fallbacks = 0;
-  uint64_t dropped_entries = 0;
   /// 1 when RestoreFromFile served this process from the .bak snapshot
   /// because the primary was corrupt.
   uint64_t restore_fallbacks = 0;
@@ -149,79 +138,28 @@ struct ServiceMetrics {
   }
 };
 
-/// Id -> BitVector storage sharded like the index, so concurrent Match
-/// calls can retrieve vectors while inserts land.  Find() copies the
-/// vector out under the shard lock (a pointer would dangle on rehash).
-class ConcurrentVectorStore {
- public:
-  explicit ConcurrentVectorStore(size_t num_shards);
-
-  void Add(const EncodedRecord& record);
-
-  /// Erases `id`; returns true when it was stored.  After a Remove every
-  /// lookup (Find/CopyWords/Contains) reports the id unknown, which is
-  /// exactly the state the matcher already skips — deletion needs no
-  /// matcher changes.
-  bool Remove(RecordId id);
-
-  /// Copies the vector for `id` into `*out`; false when unknown.
-  bool Find(RecordId id, BitVector* out) const;
-
-  /// Copies the raw words of `id` into `dst` (capacity `num_words`);
-  /// false when the id is unknown or its vector does not hold exactly
-  /// `num_words` words.  The allocation-free gather behind the batched
-  /// Hamming kernels: the caller stages candidates in a flat scratch
-  /// buffer instead of copying BitVector objects.
-  bool CopyWords(RecordId id, size_t num_words, uint64_t* dst) const;
-
-  /// True when `id` is stored (no vector copy — the journal-replay
-  /// dedupe check).
-  bool Contains(RecordId id) const;
-
-  /// Invokes `fn(id, bits)` for every stored record, one shard at a time
-  /// under that shard's shared lock.  Weakly consistent against
-  /// concurrent Adds (a record inserted mid-scan may or may not appear).
-  void ForEach(
-      const std::function<void(RecordId, const BitVector&)>& fn) const;
-
-  size_t size() const;
-
-  /// Every stored record, ordered by id (snapshot determinism).
-  std::vector<EncodedRecord> Export() const;
-
- private:
-  struct Shard {
-    mutable std::shared_mutex mu;
-    std::unordered_map<RecordId, BitVector> vectors;
-  };
-
-  size_t ShardOf(RecordId id) const { return id & mask_; }
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t mask_;
-};
-
 /// The concurrent linkage service.  All public methods are thread-safe.
 class LinkageService {
  public:
   /// Creates a service.  `config` follows CbvHbLinker semantics except
-  /// that attribute-level blocking is rejected (the sharded index covers
-  /// record-level HB).  When config.expected_qgrams is empty they are
+  /// that attribute-level blocking is rejected (the service indexes
+  /// record-level HB only).  When config.expected_qgrams is empty they are
   /// estimated from `calibration_sample` (which must then be non-empty).
   static Result<std::unique_ptr<LinkageService>> Create(
       CbvHbConfig config, LinkageServiceOptions options = {},
       const std::vector<Record>& calibration_sample = {});
 
   /// Rebuilds a service from a snapshot: the encoder and LSH family are
-  /// reproduced from the persisted configuration and seed; the store,
-  /// blocking tables, and (version 3+) the mutation state — tombstoned
-  /// ids and the delete/update sequence floor — are loaded from the
-  /// persisted data, so a restore keeps deleted records dead.  The
-  /// snapshot is semantically validated first (finite parameters,
-  /// power-of-two num_shards, known overflow policy, unique record ids,
-  /// tombstones disjoint from the records, every bucket id backed by a
-  /// stored or tombstoned record, record widths matching the rebuilt
-  /// encoder) — InvalidArgument on any violation.
+  /// reproduced from the persisted configuration and seed; the store and
+  /// (version 3+) the mutation state — tombstoned ids and the
+  /// delete/update sequence floor — are loaded from the persisted data,
+  /// so a restore keeps deleted records dead, and the blocking tables
+  /// are rebuilt from the stored records.  The snapshot is semantically
+  /// validated first (finite parameters, power-of-two num_shards, known
+  /// overflow policy, unique record ids, tombstones disjoint from the
+  /// records, every bucket id backed by a stored or tombstoned record,
+  /// record widths matching the rebuilt encoder) — InvalidArgument on
+  /// any violation.
   static Result<std::unique_ptr<LinkageService>> Restore(
       const ServiceSnapshot& snapshot);
 
@@ -248,15 +186,15 @@ class LinkageService {
   /// Match, then insert the query so future arrivals can link to it.
   Status MatchAndInsert(const Record& record, std::vector<IdPair>* out);
 
-  /// Tombstones `id`: the vector leaves the store immediately (O(1); no
-  /// index surgery — stale bucket entries are skipped by every matcher
+  /// Tombstones `id`: its store slot is marked dead immediately (O(1);
+  /// no index surgery — stale bucket entries are skipped by the matcher
   /// and reclaimed by compaction), the delete is journaled with its
   /// acknowledgement sequence, and subsequent Matches never return the
   /// record.  NotFound when `id` is not live.
   Status Delete(RecordId id);
 
-  /// Replaces the record's fields: re-encodes, overwrites the stored
-  /// vector, and indexes the new blocking keys.  Old keys keep serving
+  /// Replaces the record's fields: re-encodes, rewrites the store slot
+  /// in place, and indexes the new blocking keys.  Old keys keep serving
   /// the id as a candidate, but classification runs on the current bits,
   /// so match results equal a fresh build.  NotFound when `record.id` is
   /// not live.
@@ -273,18 +211,23 @@ class LinkageService {
   /// Applies one replayed/replicated mutation WITHOUT journaling it — the
   /// shared apply path of journal replay, replication, and snapshot
   /// reconcile.  Semantics differ from the live calls where idempotency
-  /// requires it: insert is skipped when the id is already stored, delete
-  /// of an unknown id is a no-op, update upserts.  Sequenced ops at or
-  /// below the service's sequence floor are skipped (the snapshot already
-  /// reflects them).  Returns true when state changed.
+  /// requires it: insert is skipped when the id is already live, delete
+  /// of an unknown id is a no-op, update upserts.  A sequenced op is
+  /// skipped when its sequence is at or below the restored snapshot's
+  /// floor (the snapshot already reflects it) or at or below the highest
+  /// sequence already applied to the same id (a newer mutation of that
+  /// id won).  Concurrent writers stamp sequences before appending, so
+  /// journal frames of different ids may arrive out of sequence order;
+  /// the per-id rule applies each of them.  Returns true when state
+  /// changed.
   Result<bool> ApplyMutation(const MutationOp& op);
 
-  /// Rebuilds the vector-store index state from the live survivors and
-  /// publishes a fresh blocking index with an atomic epoch swap: stale
-  /// bucket entries (tombstoned or superseded blocking keys) are gone,
-  /// the tombstone set is cleared, and match output is byte-identical
-  /// before and after.  Blocks mutators for the rebuild (the "compaction
-  /// pause"); never blocks Match.
+  /// Builds a fresh epoch (store + blocking tables) from the live slots
+  /// and publishes it with an atomic epoch swap: stale bucket entries
+  /// (tombstoned or superseded blocking keys) and dead slots are gone,
+  /// and match output is byte-identical before and after.  Blocks
+  /// mutators for the rebuild (the "compaction pause"); never blocks
+  /// Match.
   Status Compact();
 
   /// Starts the background compactor: every options().compaction_interval
@@ -294,7 +237,11 @@ class LinkageService {
   void StartBackgroundCompaction();
   void StopBackgroundCompaction();
 
-  /// Parallel bulk insert over the service thread pool.
+  /// Bulk insert: encodes over the service thread pool (nothing is
+  /// indexed when any record fails to encode), then indexes in record
+  /// order, so the tables equal a sequential Insert loop.  The write
+  /// lock is taken once per slice of records, letting Matches interleave
+  /// with a large batch.
   Status InsertBatch(const std::vector<Record>& records);
 
   /// Parallel bulk match; appends every matched pair to `out` (order
@@ -313,10 +260,10 @@ class LinkageService {
   std::shared_ptr<Journal> journal() const;
 
   /// Replays the journal at `path` into this service through
-  /// ApplyMutation: inserts whose id is already stored and sequenced
-  /// delete/update frames at or below the snapshot's sequence floor are
-  /// skipped (which is what makes a crash between snapshot commit and
-  /// journal rotation harmless).  stats.applied counts the mutations
+  /// ApplyMutation: inserts whose id is already live and sequenced
+  /// delete/update frames the snapshot or a newer frame already covers
+  /// are skipped (which is what makes a crash between snapshot commit
+  /// and journal rotation harmless).  stats.applied counts the mutations
   /// actually applied.
   Result<JournalReplayStats> ReplayJournalFile(const std::string& path);
 
@@ -349,14 +296,15 @@ class LinkageService {
   ServiceMetrics metrics() const;
 
   /// Refreshes the polled (gauge) telemetry in `registry`: record/index
-  /// sizes, per-table LSH health (bucket count, max/mean bucket size,
-  /// overflow counts) and the cross-table bucket-occupancy histogram —
-  /// the runtime observables of Theorem 1's m_opt and Eq. 2's L.  Call
-  /// before exporting (stats reporter tick, scrape, shutdown dump); the
+  /// sizes, per-table LSH health (bucket count, entries, max/mean bucket
+  /// size) and the cross-table bucket-occupancy histogram — the runtime
+  /// observables of Theorem 1's m_opt and Eq. 2's L.  Call before
+  /// exporting (stats reporter tick, scrape, shutdown dump); the
   /// event-driven metrics (latency histograms, funnel counters) are
-  /// maintained live and need no refresh.  Takes each index shard lock
-  /// shared once; do not call from a latency-critical path.  Null
-  /// `registry` targets the process-wide telemetry::Registry::Global().
+  /// maintained live and need no refresh.  Holds the epoch lock shared
+  /// for one pass over the tables (writers wait); do not call from a
+  /// latency-critical path.  Null `registry` targets the process-wide
+  /// telemetry::Registry::Global().
   void FillTelemetry(telemetry::Registry* registry = nullptr) const;
 
   /// Lets the feeding layer (e.g. the serve CLI) account malformed input
@@ -364,17 +312,15 @@ class LinkageService {
   /// serving counters.
   void RecordSkippedRows(uint64_t n);
 
-  /// Live records (the store holds only live vectors).
-  size_t size() const { return store_.size(); }
+  /// Live records.
+  size_t size() const;
   /// Tombstoned ids awaiting compaction.
-  size_t tombstone_count() const {
-    return tombstone_count_.load(std::memory_order_relaxed);
-  }
+  size_t tombstone_count() const;
   /// Highest acknowledged delete/update sequence.
   uint64_t last_sequence() const {
     return sequence_.load(std::memory_order_relaxed);
   }
-  size_t blocking_groups() const { return PinIndex()->L(); }
+  size_t blocking_groups() const;
   const CVectorRecordEncoder& encoder() const { return *encoder_; }
   const LinkageServiceOptions& options() const { return options_; }
 
@@ -383,23 +329,32 @@ class LinkageService {
 
   Status Init();
 
+  /// One index epoch: the offline engine's store, blocking tables and
+  /// matcher, behind one reader/writer lock (defined in the .cc).
+  struct IndexEpoch;
+
   /// Pins the current index epoch: the returned shared_ptr keeps that
-  /// index (and everything a Collect is walking) alive even if the
+  /// epoch (and everything a probe is walking) alive even if the
   /// compactor publishes a successor mid-call; the old epoch is retired
   /// when the last pin drops.
-  std::shared_ptr<ShardedHammingIndex> PinIndex() const {
+  std::shared_ptr<IndexEpoch> PinIndex() const {
     std::shared_lock lock(index_mu_);
     return index_;
   }
 
-  /// Algorithm 2 against the sharded structures, plus the overflow
-  /// fallback.  `b` must be encoded by this service's encoder.
-  void MatchEncoded(const EncodedRecord& b, std::vector<IdPair>* out) const;
+  /// Runs `fn` on the current epoch with the write lock held: the
+  /// compaction lock shared (no epoch swap can intervene) and the
+  /// epoch's mutex exclusive.  Every mutation of the store and tables
+  /// goes through here.
+  void WithWriteLock(FunctionRef<void(IndexEpoch&)> fn);
 
-  void InsertEncoded(const EncodedRecord& record);
+  /// Algorithm 2 for one encoded query: the Matcher's Collect and
+  /// Compare phases under the epoch's shared lock, each in its trace
+  /// span, then the pairs sorted by registry id.  `b` must be encoded by
+  /// this service's encoder.
+  void Probe(const EncodedRecord& b, std::vector<IdPair>* out) const;
 
-  /// Insert without the journal append — the batch path journals in
-  /// record order itself, after the parallel apply.
+  /// Encode + index without the journal append (the replay path).
   Status InsertUnjournaled(const Record& record);
 
   /// Delete/Update without the journal append (the batch paths journal
@@ -408,8 +363,10 @@ class LinkageService {
   Status DeleteUnjournaled(RecordId id, uint64_t* sequence);
   Status UpdateUnjournaled(const Record& record, uint64_t* sequence);
 
-  /// Drops `id` from the tombstone set (an insert resurrected it).
-  void ClearTombstone(RecordId id);
+  /// ApplyMutation's replay filter for a sequenced op on `id`; call with
+  /// the write lock held.  True when the op is stale (see
+  /// ApplyMutation); otherwise records `sequence` as the id's newest.
+  bool SkipReplayed(RecordId id, uint64_t sequence);
 
   /// Appends `record` as an insert frame to the attached journal, if any.
   Status JournalAppend(const Record& record);
@@ -425,32 +382,28 @@ class LinkageService {
   /// the caller's alphabets instead).
   std::vector<std::unique_ptr<Alphabet>> owned_alphabets_;
   std::optional<CVectorRecordEncoder> encoder_;
-  /// The LSH family, kept so Compact() can build a successor index with
-  /// identical blocking keys.
-  std::optional<HammingLshFamily> family_;
+  PairClassifier classifier_;
   /// The current index epoch.  Readers pin it via PinIndex(); Compact()
   /// publishes a successor under the unique lock.  Never null after
   /// Init().
   mutable std::shared_mutex index_mu_;
-  std::shared_ptr<ShardedHammingIndex> index_;
-  ConcurrentVectorStore store_;
-  PairClassifier classifier_;
+  std::shared_ptr<IndexEpoch> index_;
 
   /// Mutation/compaction exclusion: every mutator (insert/delete/update,
   /// live or replayed) holds it shared; Compact()'s rebuild+swap holds it
   /// unique so no mutation lands between the survivor export and the
-  /// epoch swap (it would vanish from the new index).  Match never
+  /// epoch swap (it would vanish from the new epoch).  Match never
   /// touches this lock.
   mutable std::shared_mutex compaction_mu_;
 
-  /// Tombstoned ids awaiting compaction (persisted by snapshots).
-  mutable std::shared_mutex tombstones_mu_;
-  std::unordered_set<RecordId> tombstones_;
-  /// tombstones_.size() mirror, readable without the lock.
-  mutable std::atomic<uint64_t> tombstone_count_{0};
-  /// Monotonic delete/update acknowledgement sequence; doubles as the
-  /// replay dedupe floor (Restore seeds it from the snapshot).
+  /// Monotonic delete/update acknowledgement sequence (Restore seeds it
+  /// from the snapshot).
   std::atomic<uint64_t> sequence_{0};
+  /// Replay filter state, guarded by the write lock: the sequence floor
+  /// of the restored or merged snapshot, and the newest sequence
+  /// ApplyMutation applied per id.
+  uint64_t replay_floor_ = 0;
+  std::unordered_map<RecordId, uint64_t> replayed_sequence_;
 
   /// Background compactor state.
   std::thread compactor_;
@@ -491,7 +444,6 @@ class LinkageService {
   mutable std::atomic<uint64_t> candidate_occurrences_{0};
   mutable std::atomic<uint64_t> comparisons_{0};
   mutable std::atomic<uint64_t> matches_{0};
-  mutable std::atomic<uint64_t> scan_fallbacks_{0};
   mutable std::atomic<uint64_t> restore_fallbacks_{0};
   mutable std::atomic<uint64_t> skipped_rows_{0};
   mutable std::atomic<uint64_t> insert_nanos_{0};
@@ -519,7 +471,6 @@ class LinkageService {
   telemetry::Counter* t_candidates_ = nullptr;
   telemetry::Counter* t_comparisons_ = nullptr;
   telemetry::Counter* t_matches_ = nullptr;
-  telemetry::Counter* t_scan_fallbacks_ = nullptr;
 };
 
 }  // namespace cbvlink

@@ -34,6 +34,7 @@
 #include "src/net/replication.h"
 #include "src/net/server.h"
 #include "src/service/linkage_service.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace net {
@@ -147,12 +148,6 @@ std::vector<Record> GenerateRecords(const NcvrGenerator& gen, size_t n,
 std::vector<IdPair> Sorted(std::vector<IdPair> pairs) {
   std::sort(pairs.begin(), pairs.end());
   return pairs;
-}
-
-std::string TempPath(const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
-  std::remove(path.c_str());
-  return path;
 }
 
 bool WaitUntil(const std::function<bool()>& pred, int timeout_ms = 10000) {
@@ -281,7 +276,7 @@ TEST(ChaosTest, CorruptionIsRetriedNeverReturnsWrongAnswers) {
 // Connection resets mid-stream: retries reconnect and finish, and every
 // acked insert is actually in the index (and survives journal replay).
 TEST(ChaosTest, AckedInsertsSurviveConnectionResets) {
-  const std::string journal_path = TempPath("chaos_resets.cbvj");
+  const std::string journal_path = UniqueTempPath("chaos_resets.cbvj");
   ChaosFixture f = ChaosFixture::Start(10);
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(journal_path);
@@ -337,7 +332,7 @@ TEST(ChaosTest, AckedInsertsSurviveConnectionResets) {
 // lost ack produces) is absorbed by journal-replay id-dedupe, so insert
 // and match_and_insert are idempotent and safe to retry.
 TEST(ChaosTest, DuplicateInsertIsDedupedByJournalReplay) {
-  const std::string journal_path = TempPath("chaos_dedupe.cbvj");
+  const std::string journal_path = UniqueTempPath("chaos_dedupe.cbvj");
   ChaosFixture f = ChaosFixture::Start(4);
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(journal_path);
@@ -393,7 +388,7 @@ TEST(ChaosTest, BlackholedClientFailsWithinItsDeadline) {
 // breaker; healing converges the replica (no acked insert lost) and
 // closes the circuit again.
 TEST(ChaosTest, ReplicaConvergesAfterPartitionHeals) {
-  const std::string journal_path = TempPath("chaos_replica.cbvj");
+  const std::string journal_path = UniqueTempPath("chaos_replica.cbvj");
   ChaosFixture f = ChaosFixture::Start(10);
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(journal_path);

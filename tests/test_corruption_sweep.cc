@@ -17,6 +17,7 @@
 #include "src/datagen/generators.h"
 #include "src/io/serialization.h"
 #include "src/service/linkage_service.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace {
@@ -214,7 +215,7 @@ class KillDuringSaveTest : public ::testing::Test {
     for (size_t i = 0; i < 20; ++i) {
       ASSERT_TRUE(service_->Insert(gen.value().Generate(i, rng)).ok());
     }
-    path_ = testing::TempDir() + "/kill_during_save.cbvs";
+    path_ = UniqueTempPath("kill_during_save.cbvs");
     std::remove(path_.c_str());
     std::remove(AtomicTempPath(path_).c_str());
     std::remove(SnapshotBackupPath(path_).c_str());

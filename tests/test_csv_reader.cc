@@ -1,4 +1,5 @@
 #include "src/io/csv_reader.h"
+#include "tests/test_paths.h"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,7 @@ namespace cbvlink {
 namespace {
 
 std::string WriteTempCsv(const std::string& name, const std::string& body) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = UniqueTempPath(name);
   std::ofstream out(path);
   out << body;
   return path;

@@ -16,6 +16,7 @@
 #include "src/lsh/params.h"
 #include "src/rules/rule_parser.h"
 #include "src/text/normalize.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace {
@@ -77,7 +78,7 @@ TEST(EdgeCaseTest, NormalizeDropsNonAsciiBytes) {
 }
 
 TEST(EdgeCaseTest, HeaderOnlyCsvYieldsNoRecords) {
-  const std::string path = testing::TempDir() + "/header_only.csv";
+  const std::string path = UniqueTempPath("header_only.csv");
   {
     std::ofstream out(path);
     out << "id,first,last\n";

@@ -40,8 +40,10 @@ TEST(EditDistanceTest, Symmetric) {
             EditDistance("AXCYEF", "ABCDEF"));
 }
 
+// std::string parameters print as their text, so each case's test name
+// is the same on every build (a const char* prints as its address).
 class EditDistanceWithinTest
-    : public testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(EditDistanceWithinTest, AgreesWithFullDistanceAtEveryThreshold) {
   const auto [a, b] = GetParam();

@@ -6,6 +6,7 @@
 
 #include "src/eval/csv.h"
 #include "src/linkage/cbv_hb_linker.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace {
@@ -136,7 +137,7 @@ TEST(EnvHelpersTest, FallbacksApply) {
 }
 
 TEST(CsvWriterTest, WritesHeaderAndRows) {
-  const std::string path = testing::TempDir() + "/cbvlink_test.csv";
+  const std::string path = UniqueTempPath("cbvlink_test.csv");
   Result<CsvWriter> writer = CsvWriter::Open(path, {"name", "pc", "pq"});
   ASSERT_TRUE(writer.ok());
   writer.value().WriteRow({"cBV-HB", "0.97", "0.5"});

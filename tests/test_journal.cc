@@ -17,6 +17,7 @@
 #include "src/datagen/generators.h"
 #include "src/service/linkage_service.h"
 #include "src/telemetry/metrics.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace {
@@ -41,12 +42,6 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good());
 }
 
-std::string TempPath(const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
-  std::remove(path.c_str());
-  return path;
-}
-
 /// Replays `path` collecting the records.
 std::vector<Record> ReplayAll(const std::string& path,
                               JournalReplayStats* stats) {
@@ -62,7 +57,7 @@ std::vector<Record> ReplayAll(const std::string& path,
 }
 
 TEST(JournalTest, OpenCreatesHeaderOnlyFile) {
-  const std::string path = TempPath("journal_create.cbvj");
+  const std::string path = UniqueTempPath("journal_create.cbvj");
   Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
   ASSERT_TRUE(journal.ok()) << journal.status().ToString();
   EXPECT_EQ(journal.value()->EndOffset(), kJournalHeaderSize);
@@ -80,12 +75,12 @@ TEST(JournalTest, OpenCreatesHeaderOnlyFile) {
 
 TEST(JournalTest, MissingFileReplaysAsNonexistent) {
   JournalReplayStats stats;
-  EXPECT_TRUE(ReplayAll(TempPath("journal_missing.cbvj"), &stats).empty());
+  EXPECT_TRUE(ReplayAll(UniqueTempPath("journal_missing.cbvj"), &stats).empty());
   EXPECT_FALSE(stats.existed);
 }
 
 TEST(JournalTest, AppendThenReplayRoundTrip) {
-  const std::string path = TempPath("journal_roundtrip.cbvj");
+  const std::string path = UniqueTempPath("journal_roundtrip.cbvj");
   Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
   ASSERT_TRUE(journal.ok());
   for (RecordId id = 1; id <= 5; ++id) {
@@ -110,7 +105,7 @@ TEST(JournalTest, AppendThenReplayRoundTrip) {
 }
 
 TEST(JournalTest, ReopenResumesAppendingAtTheEnd) {
-  const std::string path = TempPath("journal_reopen.cbvj");
+  const std::string path = UniqueTempPath("journal_reopen.cbvj");
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
     ASSERT_TRUE(journal.ok());
@@ -137,7 +132,7 @@ TEST(JournalTest, FsyncPolicyCadence) {
   // fsync_every = 1: one fsync per append.
   {
     Result<std::unique_ptr<Journal>> journal =
-        Journal::Open(TempPath("journal_fsync1.cbvj"), {.fsync_every = 1});
+        Journal::Open(UniqueTempPath("journal_fsync1.cbvj"), {.fsync_every = 1});
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE(journal.value()->AppendInsert(MakeRecord(1)).ok());
     ASSERT_TRUE(journal.value()->AppendInsert(MakeRecord(2)).ok());
@@ -149,7 +144,7 @@ TEST(JournalTest, FsyncPolicyCadence) {
   {
     telemetry::Registry::Global().ResetForTest();
     Result<std::unique_ptr<Journal>> journal =
-        Journal::Open(TempPath("journal_fsync3.cbvj"), {.fsync_every = 3});
+        Journal::Open(UniqueTempPath("journal_fsync3.cbvj"), {.fsync_every = 3});
     ASSERT_TRUE(journal.ok());
     ASSERT_TRUE(journal.value()->AppendInsert(MakeRecord(1)).ok());
     ASSERT_TRUE(journal.value()->AppendInsert(MakeRecord(2)).ok());
@@ -167,7 +162,7 @@ TEST(JournalTest, FsyncPolicyCadence) {
   {
     telemetry::Registry::Global().ResetForTest();
     Result<std::unique_ptr<Journal>> journal =
-        Journal::Open(TempPath("journal_fsync0.cbvj"), {.fsync_every = 0});
+        Journal::Open(UniqueTempPath("journal_fsync0.cbvj"), {.fsync_every = 0});
     ASSERT_TRUE(journal.ok());
     for (RecordId id = 1; id <= 8; ++id) {
       ASSERT_TRUE(journal.value()->AppendInsert(MakeRecord(id)).ok());
@@ -182,7 +177,7 @@ TEST(JournalTest, FsyncPolicyCadence) {
 // before the cut, flags the torn tail, and Open() resumes appending from
 // the same boundary.
 TEST(JournalTest, CorruptionSweepTruncationAtEveryOffset) {
-  const std::string path = TempPath("journal_sweep_base.cbvj");
+  const std::string path = UniqueTempPath("journal_sweep_base.cbvj");
   std::vector<uint64_t> boundaries = {kJournalHeaderSize};
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
@@ -195,7 +190,7 @@ TEST(JournalTest, CorruptionSweepTruncationAtEveryOffset) {
   const std::string bytes = ReadFileBytes(path);
   ASSERT_EQ(bytes.size(), boundaries.back());
 
-  const std::string cut_path = TempPath("journal_sweep_cut.cbvj");
+  const std::string cut_path = UniqueTempPath("journal_sweep_cut.cbvj");
   for (size_t cut = kJournalHeaderSize; cut <= bytes.size(); ++cut) {
     WriteFileBytes(cut_path, bytes.substr(0, cut));
 
@@ -234,7 +229,7 @@ TEST(JournalTest, CorruptionSweepTruncationAtEveryOffset) {
 // stop before the frame containing the flip — the CRC (or the length
 // bound) catches it — and never emit a wrong record.
 TEST(JournalTest, CorruptionSweepSingleByteFlips) {
-  const std::string path = TempPath("journal_flip_base.cbvj");
+  const std::string path = UniqueTempPath("journal_flip_base.cbvj");
   std::vector<uint64_t> boundaries = {kJournalHeaderSize};
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
@@ -246,7 +241,7 @@ TEST(JournalTest, CorruptionSweepSingleByteFlips) {
   }
   const std::string bytes = ReadFileBytes(path);
 
-  const std::string flip_path = TempPath("journal_flip.cbvj");
+  const std::string flip_path = UniqueTempPath("journal_flip.cbvj");
   for (size_t pos = kJournalHeaderSize; pos < bytes.size(); ++pos) {
     std::string mutated = bytes;
     mutated[pos] = static_cast<char>(mutated[pos] ^ 0x5a);
@@ -276,7 +271,7 @@ TEST(JournalTest, CorruptionSweepSingleByteFlips) {
 // Delete/update frames round-trip with their kinds and acknowledgement
 // sequences intact; a delete frame carries only the id.
 TEST(JournalTest, MutationFramesRoundTrip) {
-  const std::string path = TempPath("journal_mutation_roundtrip.cbvj");
+  const std::string path = UniqueTempPath("journal_mutation_roundtrip.cbvj");
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
     ASSERT_TRUE(journal.ok());
@@ -311,7 +306,7 @@ TEST(JournalTest, MutationFramesRoundTrip) {
 // three op frames: the new delete/update frames must be exactly as
 // crash-safe as inserts — any cut or flip loses only the torn tail.
 TEST(JournalTest, CorruptionSweepMixedOpFrames) {
-  const std::string path = TempPath("journal_mixed_base.cbvj");
+  const std::string path = UniqueTempPath("journal_mixed_base.cbvj");
   std::vector<uint64_t> boundaries = {kJournalHeaderSize};
   const std::vector<MutationOp> appended = {
       MutationOp::Insert(MakeRecord(1)),
@@ -339,7 +334,7 @@ TEST(JournalTest, CorruptionSweepMixedOpFrames) {
     }
   };
 
-  const std::string mutated_path = TempPath("journal_mixed_mutated.cbvj");
+  const std::string mutated_path = UniqueTempPath("journal_mixed_mutated.cbvj");
   // Truncation at every offset.
   for (size_t cut = kJournalHeaderSize; cut <= bytes.size(); ++cut) {
     WriteFileBytes(mutated_path, bytes.substr(0, cut));
@@ -379,7 +374,7 @@ TEST(JournalTest, CorruptionSweepMixedOpFrames) {
 }
 
 TEST(JournalTest, FlippedHeaderMagicIsRejected) {
-  const std::string path = TempPath("journal_badmagic.cbvj");
+  const std::string path = UniqueTempPath("journal_badmagic.cbvj");
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
     ASSERT_TRUE(journal.ok());
@@ -400,7 +395,7 @@ TEST(JournalTest, FlippedHeaderMagicIsRejected) {
 // handle reports the failure, and the next Open() truncates the torn
 // bytes so recovery sees only acknowledged inserts.
 TEST(JournalTest, FailpointKillDuringAppendLeavesRecoverableTail) {
-  const std::string path = TempPath("journal_torn.cbvj");
+  const std::string path = UniqueTempPath("journal_torn.cbvj");
   uint64_t end_before_kill = 0;
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
@@ -443,7 +438,7 @@ TEST(JournalTest, FailpointKillDuringAppendLeavesRecoverableTail) {
 }
 
 TEST(JournalTest, FailpointAppendErrorDoesNotPoisonTheTail) {
-  const std::string path = TempPath("journal_apperr.cbvj");
+  const std::string path = UniqueTempPath("journal_apperr.cbvj");
   Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
   ASSERT_TRUE(journal.ok());
   ASSERT_TRUE(journal.value()->AppendInsert(MakeRecord(1)).ok());
@@ -464,7 +459,7 @@ TEST(JournalTest, FailpointAppendErrorDoesNotPoisonTheTail) {
 
 TEST(JournalTest, DropCommittedRotatesEpochAndKeepsTheTail) {
   telemetry::Registry::Global().ResetForTest();
-  const std::string path = TempPath("journal_rotate.cbvj");
+  const std::string path = UniqueTempPath("journal_rotate.cbvj");
   Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
   ASSERT_TRUE(journal.ok());
   std::vector<uint64_t> boundaries;
@@ -511,7 +506,7 @@ TEST(JournalTest, DropCommittedRotatesEpochAndKeepsTheTail) {
 // stay readable — ReadSegment (replication fetch) and the next
 // rotation's tail copy both pread it without reopening the journal.
 TEST(JournalTest, RotatedJournalStaysReadableWithoutReopen) {
-  const std::string path = TempPath("journal_rotate_read.cbvj");
+  const std::string path = UniqueTempPath("journal_rotate_read.cbvj");
   Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
   ASSERT_TRUE(journal.ok());
   std::vector<uint64_t> boundaries;
@@ -559,7 +554,7 @@ TEST(JournalTest, RotatedJournalStaysReadableWithoutReopen) {
 }
 
 TEST(JournalTest, ReadSegmentServesRawBytesWithCursorMetadata) {
-  const std::string path = TempPath("journal_segment.cbvj");
+  const std::string path = UniqueTempPath("journal_segment.cbvj");
   Result<std::unique_ptr<Journal>> journal = Journal::Open(path);
   ASSERT_TRUE(journal.ok());
   for (RecordId id = 1; id <= 3; ++id) {
@@ -643,7 +638,7 @@ TEST(JournalTest, ReplayedServiceIsByteIdenticalToDirectInserts) {
   ASSERT_TRUE(gen.ok());
   const std::vector<Record> records = GenerateRecords(gen.value(), 30, 7);
 
-  const std::string path = TempPath("journal_equiv.cbvj");
+  const std::string path = UniqueTempPath("journal_equiv.cbvj");
   Result<std::unique_ptr<LinkageService>> primary =
       LinkageService::Create(BaseConfig(gen.value().schema()));
   ASSERT_TRUE(primary.ok());
@@ -677,9 +672,9 @@ TEST(JournalTest, ReplayDedupesFramesTheSnapshotAlreadyCovers) {
   ASSERT_TRUE(gen.ok());
   const std::vector<Record> records = GenerateRecords(gen.value(), 10, 11);
 
-  const std::string journal_path = TempPath("journal_dedupe.cbvj");
-  const std::string stale_copy = TempPath("journal_dedupe_stale.cbvj");
-  const std::string snapshot_path = TempPath("journal_dedupe.cbvs");
+  const std::string journal_path = UniqueTempPath("journal_dedupe.cbvj");
+  const std::string stale_copy = UniqueTempPath("journal_dedupe_stale.cbvj");
+  const std::string snapshot_path = UniqueTempPath("journal_dedupe.cbvs");
 
   Result<std::unique_ptr<LinkageService>> primary =
       LinkageService::Create(BaseConfig(gen.value().schema()));
@@ -722,8 +717,8 @@ TEST(JournalTest, SnapshotPlusJournalTailRecoversAcknowledgedInserts) {
   ASSERT_TRUE(gen.ok());
   const std::vector<Record> records = GenerateRecords(gen.value(), 12, 3);
 
-  const std::string journal_path = TempPath("journal_recovery.cbvj");
-  const std::string snapshot_path = TempPath("journal_recovery.cbvs");
+  const std::string journal_path = UniqueTempPath("journal_recovery.cbvj");
+  const std::string snapshot_path = UniqueTempPath("journal_recovery.cbvs");
 
   Result<std::unique_ptr<LinkageService>> primary =
       LinkageService::Create(BaseConfig(gen.value().schema()));

@@ -15,6 +15,7 @@
 #include "src/eval/csv.h"
 #include "src/io/csv_reader.h"
 #include "src/lsh/blocking_table.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace {
@@ -142,7 +143,7 @@ TEST(BlockingTableModelTest, AgreesWithMultimap) {
 
 TEST(CsvRoundTripTest, WriterOutputParsesBack) {
   Rng rng(46);
-  const std::string path = testing::TempDir() + "/roundtrip.csv";
+  const std::string path = UniqueTempPath("roundtrip.csv");
   std::vector<std::vector<std::string>> rows;
   {
     Result<CsvWriter> writer = CsvWriter::Open(path, {"id", "a", "b"});

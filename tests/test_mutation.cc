@@ -18,6 +18,7 @@
 #include "src/io/journal.h"
 #include "src/io/serialization.h"
 #include "src/service/linkage_service.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace {
@@ -48,12 +49,6 @@ std::vector<Record> GenerateRecords(const NcvrGenerator& gen, size_t n,
 std::vector<IdPair> Sorted(std::vector<IdPair> pairs) {
   std::sort(pairs.begin(), pairs.end());
   return pairs;
-}
-
-std::string TempPath(const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
-  std::remove(path.c_str());
-  return path;
 }
 
 std::unique_ptr<LinkageService> MakeService(
@@ -210,8 +205,8 @@ TEST(MutationTest, DeleteAndUpdateSurviveCrashAndReplay) {
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());
   const std::vector<Record> records = GenerateRecords(gen.value(), 6, 1);
-  const std::string snapshot_path = TempPath("mutation_crash.snap");
-  const std::string journal_path = TempPath("mutation_crash.cbvj");
+  const std::string snapshot_path = UniqueTempPath("mutation_crash.snap");
+  const std::string journal_path = UniqueTempPath("mutation_crash.cbvj");
   Record updated = records[3];
   updated.fields = records[5].fields;
 
@@ -253,6 +248,77 @@ TEST(MutationTest, DeleteAndUpdateSurviveCrashAndReplay) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value().applied, 0u);
   EXPECT_FALSE(recovered.value()->Contains(records[2].id));
+}
+
+// Concurrent writers stamp a delete/update sequence before appending its
+// frame, so frames of different ids can land out of sequence order.
+// Replay must still reach the acknowledged state: a frame is stale only
+// at or below the snapshot's floor or below a newer frame for its id.
+TEST(MutationTest, ReplayAppliesFramesJournaledOutOfSequenceOrder) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Record> records = GenerateRecords(gen.value(), 6, 1);
+  const std::string snapshot_path = UniqueTempPath("out_of_order.snap");
+  const std::string journal_path = UniqueTempPath("out_of_order.cbvj");
+  const std::string reordered_path = UniqueTempPath("reordered.cbvj");
+
+  ServiceSnapshot acknowledged;
+  {
+    std::unique_ptr<LinkageService> service = MakeService(gen.value());
+    Result<std::unique_ptr<Journal>> journal = Journal::Open(journal_path);
+    ASSERT_TRUE(journal.ok());
+    service->AttachJournal(std::move(journal).value());
+    for (const Record& r : records) ASSERT_TRUE(service->Insert(r).ok());
+    ASSERT_TRUE(service->SaveSnapshotToFile(snapshot_path).ok());
+    // Sequences 1..5; id 4 is updated twice, so its seq-4 frame is
+    // superseded by seq 5.
+    Record updated = records[5];
+    updated.id = records[2].id;
+    ASSERT_TRUE(service->Delete(records[1].id).ok());
+    ASSERT_TRUE(service->Update(updated).ok());
+    ASSERT_TRUE(service->Delete(records[3].id).ok());
+    updated = records[0];
+    updated.id = records[4].id;
+    ASSERT_TRUE(service->Update(updated).ok());
+    updated = records[5];
+    updated.id = records[4].id;
+    ASSERT_TRUE(service->Update(updated).ok());
+    acknowledged = service->ExportSnapshot();
+  }
+
+  // The journal now holds the five mutation frames in sequence order;
+  // rewrite them in an order two racing writers could have appended.
+  std::vector<MutationOp> frames;
+  ASSERT_TRUE(ReplayJournal(journal_path, [&frames](const MutationOp& op) {
+                frames.push_back(op);
+                return Status::OK();
+              }).ok());
+  ASSERT_EQ(frames.size(), 5u);
+  {
+    Result<std::unique_ptr<Journal>> reordered = Journal::Open(reordered_path);
+    ASSERT_TRUE(reordered.ok());
+    for (size_t i : {2, 0, 4, 1, 3}) {
+      ASSERT_TRUE(reordered.value()->Append(frames[i]).ok());
+    }
+  }
+
+  Result<std::unique_ptr<LinkageService>> recovered =
+      LinkageService::RestoreFromFile(snapshot_path);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  Result<JournalReplayStats> replay =
+      recovered.value()->ReplayJournalFile(reordered_path);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replay.value().applied, 4u);  // all but the superseded seq 4
+
+  const ServiceSnapshot state = recovered.value()->ExportSnapshot();
+  ASSERT_EQ(state.records.size(), acknowledged.records.size());
+  for (size_t i = 0; i < state.records.size(); ++i) {
+    EXPECT_EQ(state.records[i].id, acknowledged.records[i].id);
+    EXPECT_TRUE(state.records[i].bits == acknowledged.records[i].bits)
+        << "record " << state.records[i].id;
+  }
+  EXPECT_EQ(state.tombstones, acknowledged.tombstones);
+  EXPECT_EQ(recovered.value()->last_sequence(), 5u);
 }
 
 TEST(MutationTest, UpdateThenCompactEqualsFreshBuild) {
@@ -393,11 +459,11 @@ TEST(MutationTest, ApplyMutationHonorsSequenceFloorAndDedupes) {
   ASSERT_TRUE(applied.ok());
   EXPECT_TRUE(applied.value());
   EXPECT_EQ(service->last_sequence(), 5u);
-  // ... so replaying it (or anything older) is skipped.
+  // ... so replaying it (or anything older for the same id) is skipped.
   applied = service->ApplyMutation(MutationOp::Delete(records[0].id, 5));
   ASSERT_TRUE(applied.ok());
   EXPECT_FALSE(applied.value());
-  applied = service->ApplyMutation(MutationOp::Update(records[1], 4));
+  applied = service->ApplyMutation(MutationOp::Update(records[0], 4));
   ASSERT_TRUE(applied.ok());
   EXPECT_FALSE(applied.value());
 

@@ -29,6 +29,7 @@
 #include "src/net/protocol.h"
 #include "src/net/replication.h"
 #include "src/service/linkage_service.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace net {
@@ -60,12 +61,6 @@ std::vector<Record> GenerateRecords(const NcvrGenerator& gen, size_t n,
 std::vector<IdPair> Sorted(std::vector<IdPair> pairs) {
   std::sort(pairs.begin(), pairs.end());
   return pairs;
-}
-
-std::string TempPath(const std::string& name) {
-  const std::string path = testing::TempDir() + "/" + name;
-  std::remove(path.c_str());
-  return path;
 }
 
 /// Polls `pred` (10ms cadence) until true or `timeout_ms` elapses.
@@ -401,7 +396,7 @@ TEST(NetServerTest, BinaryStatsCallReturnsTelemetryJson) {
 // An insert acknowledged over the wire must survive a crash: replaying
 // the journal into a fresh service restores it.
 TEST(NetServerTest, AcknowledgedNetworkInsertSurvivesRestartViaJournal) {
-  const std::string journal_path = TempPath("net_server_recovery.cbvj");
+  const std::string journal_path = UniqueTempPath("net_server_recovery.cbvj");
   ServingFixture f = ServingFixture::Start(8);
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(journal_path);
@@ -434,8 +429,8 @@ TEST(NetServerTest, AcknowledgedNetworkInsertSurvivesRestartViaJournal) {
 }
 
 TEST(NetServerTest, ReplicaFollowsPrimaryAndPromotes) {
-  const std::string journal_path = TempPath("net_replica.cbvj");
-  const std::string snapshot_path = TempPath("net_replica.cbvs");
+  const std::string journal_path = UniqueTempPath("net_replica.cbvj");
+  const std::string snapshot_path = UniqueTempPath("net_replica.cbvs");
   ServingFixture f = ServingFixture::Start(20);
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(journal_path);
@@ -457,8 +452,12 @@ TEST(NetServerTest, ReplicaFollowsPrimaryAndPromotes) {
   for (size_t i = 20; i < 25; ++i) {
     ASSERT_TRUE(f.service->Insert(extra[i]).ok());
   }
+  // The follower applies a fetched batch before it publishes progress,
+  // so wait for both: the record can be visible a moment before the
+  // counters that account for it.
   ASSERT_TRUE(WaitUntil([&]() {
-    return replica.value()->service()->Contains(extra[24].id);
+    return replica.value()->service()->Contains(extra[24].id) &&
+           replica.value()->progress().applied_records >= 5;
   })) << "last error: " << replica.value()->progress().last_error;
   const ReplicaProgress progress = replica.value()->progress();
   EXPECT_GE(progress.applied_records, 5u);
@@ -470,8 +469,11 @@ TEST(NetServerTest, ReplicaFollowsPrimaryAndPromotes) {
   Record after_rotate = f.records[0];
   after_rotate.id = 800;
   ASSERT_TRUE(f.service->Insert(after_rotate).ok());
+  // A re-sync merges the snapshot (which may already hold 800) before
+  // it counts itself in progress().syncs.
   ASSERT_TRUE(WaitUntil([&]() {
-    return replica.value()->service()->Contains(800);
+    return replica.value()->service()->Contains(800) &&
+           replica.value()->progress().syncs >= 2;
   })) << "last error: " << replica.value()->progress().last_error;
   EXPECT_GE(replica.value()->progress().syncs, 2u);
 
@@ -750,7 +752,7 @@ TEST(NetServerTest, DrainFailsReadinessShedsNewWorkAndFinishesAdmitted) {
 // sleep the full poll_interval_ms in one blind sleep).
 TEST(NetServerTest, ReplicaStopReturnsPromptlyDuringLongPollWait) {
   ServingFixture f = ServingFixture::Start(6);
-  const std::string journal_path = TempPath("net_replica_stop.cbvj");
+  const std::string journal_path = UniqueTempPath("net_replica_stop.cbvj");
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(journal_path);
     ASSERT_TRUE(journal.ok());
@@ -775,7 +777,7 @@ TEST(NetServerTest, ReplicaStopReturnsPromptlyDuringLongPollWait) {
 // ...and equally promptly while backing off from a dead primary.
 TEST(NetServerTest, ReplicaStopReturnsPromptlyWhileBackingOff) {
   ServingFixture f = ServingFixture::Start(6);
-  const std::string journal_path = TempPath("net_replica_stop2.cbvj");
+  const std::string journal_path = UniqueTempPath("net_replica_stop2.cbvj");
   {
     Result<std::unique_ptr<Journal>> journal = Journal::Open(journal_path);
     ASSERT_TRUE(journal.ok());

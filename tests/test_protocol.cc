@@ -5,6 +5,7 @@
 #include "src/datagen/dataset.h"
 #include "src/datagen/generators.h"
 #include "src/eval/measures.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace {
@@ -115,8 +116,8 @@ TEST(ProtocolTest, EndToEndOverWireFiles) {
   ASSERT_TRUE(alice.ok());
   ASSERT_TRUE(bob.ok());
 
-  const std::string path_a = testing::TempDir() + "/alice.cbv";
-  const std::string path_b = testing::TempDir() + "/bob.cbv";
+  const std::string path_a = UniqueTempPath("alice.cbv");
+  const std::string path_b = UniqueTempPath("bob.cbv");
   ASSERT_TRUE(alice.value().ExportRecords(data.value().a, path_a).ok());
   ASSERT_TRUE(bob.value().ExportRecords(data.value().b, path_b).ok());
 

@@ -7,6 +7,7 @@
 
 #include "src/common/crc32.h"
 #include "src/common/random.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace {
@@ -93,7 +94,7 @@ TEST(SerializationTest, TruncatedHeaderDetected) {
 }
 
 TEST(SerializationTest, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/records.cbv";
+  const std::string path = UniqueTempPath("records.cbv");
   std::vector<EncodedRecord> records{MakeRecord(5, 120, 11),
                                      MakeRecord(6, 120, 12)};
   ASSERT_TRUE(WriteEncodedRecordsToFile(records, path).ok());
@@ -255,7 +256,7 @@ TEST(SerializationTest, OnDiskByteLayoutIsPinned) {
 }
 
 TEST(SerializationTest, AtomicFileWriteLeavesNoTemp) {
-  const std::string path = testing::TempDir() + "/atomic_records.cbv";
+  const std::string path = UniqueTempPath("atomic_records.cbv");
   std::vector<EncodedRecord> records{MakeRecord(5, 120, 11)};
   ASSERT_TRUE(WriteEncodedRecordsToFile(records, path).ok());
   std::ifstream tmp(AtomicTempPath(path), std::ios::binary);

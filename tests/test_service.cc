@@ -3,14 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "src/blocking/matcher.h"
+#include "src/blocking/record_blocker.h"
 #include "src/common/failpoint.h"
+#include "src/common/thread_pool.h"
 #include "src/datagen/generators.h"
+#include "src/datagen/perturbator.h"
 #include "src/telemetry/metrics.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace {
@@ -461,59 +468,247 @@ TEST(ServiceFailpointTest, InjectedFaultsSurfaceAsStatus) {
   EXPECT_TRUE(service.value()->Match(records[0], &out).ok());
 }
 
-TEST(ServiceTest, ScanFallbackPreservesRecallUnderBucketCap) {
-  Result<NcvrGenerator> gen = NcvrGenerator::Create();
-  ASSERT_TRUE(gen.ok());
-  LinkageServiceOptions options;
-  options.max_bucket_size = 1;
-  options.overflow_policy = OverflowPolicy::kScanFallback;
-  Result<std::unique_ptr<LinkageService>> service =
-      LinkageService::Create(BaseConfig(gen.value().schema()), options);
-  ASSERT_TRUE(service.ok());
+// --- Cross-path differential: the service against the offline engine.
+//
+// The service draws its encoder and then its LSH family from one seeded
+// RNG, in the order RecordLevelBlocker::Create draws them offline, so an
+// offline VectorStore + RecordLevelBlocker + Matcher built over the
+// service's live records must return exactly the served pairs.
 
-  // Three identical records share every bucket; the cap keeps only the
-  // first, so the other two are reachable only through the fallback scan.
-  Rng rng(8);
-  const Record entity = gen.value().Generate(0, rng);
-  for (RecordId id = 1; id <= 3; ++id) {
-    Record copy = entity;
-    copy.id = id;
-    ASSERT_TRUE(service.value()->Insert(copy).ok());
-  }
-  Record query = entity;
-  query.id = 42;
-  std::vector<IdPair> out;
-  ASSERT_TRUE(service.value()->Match(query, &out).ok());
-  EXPECT_EQ(Sorted(std::move(out)),
-            (std::vector<IdPair>{{1, 42}, {2, 42}, {3, 42}}));
-  const ServiceMetrics metrics = service.value()->metrics();
-  EXPECT_GT(metrics.scan_fallbacks, 0u);
-  EXPECT_GT(metrics.dropped_entries, 0u);
+/// The NCVR attribute kept by the one-attribute config: the address,
+/// whose ~20 q-grams give a record wide enough for K = 30.
+constexpr size_t kAddressField = 2;
+
+/// The NCVR schema reduced to the address attribute: a one-attribute rule
+/// over it spans the whole record, which is the batch-kernel shape.
+Schema AddressOnlySchema(const Schema& full) {
+  Schema schema;
+  schema.attributes.push_back(full.attributes[kAddressField]);
+  return schema;
 }
 
-TEST(ServiceTest, TruncatePolicyBoundsWorkUnderBucketCap) {
+/// The service configs under test: the PL conjunction (per-pair compare
+/// path) and a one-attribute threshold rule (batch-kernel path).
+std::vector<CbvHbConfig> DifferentialConfigs(const Schema& full) {
+  CbvHbConfig pl = BaseConfig(full);
+  CbvHbConfig one = BaseConfig(full);
+  one.schema = AddressOnlySchema(full);
+  one.rule = Rule::Pred(0, 4);
+  one.expected_qgrams = {20.0};
+  return {pl, one};
+}
+
+/// Projects `records` onto `schema`: unchanged for the full schema, the
+/// address field alone for the address-only one.
+std::vector<Record> Project(const std::vector<Record>& records,
+                            const Schema& schema) {
+  if (schema.attributes.size() != 1) return records;
+  std::vector<Record> out;
+  for (const Record& r : records) {
+    out.push_back(Record{r.id, {r.fields[kAddressField]}});
+  }
+  return out;
+}
+
+/// Offline Algorithm 2 over `live`, with the blocker drawn from the
+/// service's seed in the service's order (encoder, then LSH family).
+std::vector<IdPair> OfflinePairs(const CbvHbConfig& config,
+                                 const std::vector<Record>& live,
+                                 const std::vector<Record>& queries,
+                                 ThreadPool* pool) {
+  Rng rng(config.seed);
+  Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
+      config.schema, config.expected_qgrams, rng, config.sizing);
+  EXPECT_TRUE(encoder.ok());
+  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
+      encoder.value().total_bits(), config.record_K, config.record_theta,
+      config.delta, rng);
+  EXPECT_TRUE(blocker.ok());
+  Result<std::vector<EncodedRecord>> a = encoder.value().EncodeAll(live);
+  Result<std::vector<EncodedRecord>> b = encoder.value().EncodeAll(queries);
+  EXPECT_TRUE(a.ok() && b.ok());
+  blocker.value().BulkInsert(a.value(), pool);
+  VectorStore store;
+  store.AddAll(a.value());
+  const Matcher matcher(&blocker.value(), &store);
+  return Sorted(matcher.MatchAll(
+      b.value(), MakeRuleClassifier(config.rule, encoder.value().layout()),
+      nullptr, pool));
+}
+
+std::vector<IdPair> ServedPairs(LinkageService& service,
+                                const std::vector<Record>& queries) {
+  std::vector<IdPair> out;
+  EXPECT_TRUE(service.MatchBatch(queries, &out).ok());
+  return Sorted(std::move(out));
+}
+
+/// Queries with planted matches: light perturbations of every fourth
+/// registry record, plus unrelated records.
+std::vector<Record> DifferentialQueries(const NcvrGenerator& gen,
+                                        const std::vector<Record>& registry) {
+  Rng rng(99);
+  std::vector<Record> queries;
+  for (size_t i = 0; i < registry.size(); i += 4) {
+    Result<Record> perturbed = Perturbator::Apply(
+        registry[i], PerturbationScheme::Light(), rng, nullptr);
+    EXPECT_TRUE(perturbed.ok());
+    queries.push_back(std::move(perturbed).value());
+    queries.back().id = 100000 + i;
+  }
+  for (size_t i = 0; i < 40; ++i) {
+    queries.push_back(gen.Generate(200000 + i, rng));
+  }
+  return queries;
+}
+
+std::vector<Record> Values(const std::map<RecordId, Record>& live) {
+  std::vector<Record> out;
+  for (const auto& [id, record] : live) out.push_back(record);
+  return out;
+}
+
+TEST(ServiceDifferentialTest, ConfigsCoverBothComparePaths) {
+  // The PL conjunction takes the per-pair path; the one-attribute rule
+  // reduces to a whole-record threshold and takes the batch kernel.
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());
-  LinkageServiceOptions options;
-  options.max_bucket_size = 1;
-  options.overflow_policy = OverflowPolicy::kTruncate;
-  Result<std::unique_ptr<LinkageService>> service =
-      LinkageService::Create(BaseConfig(gen.value().schema()), options);
-  ASSERT_TRUE(service.ok());
-
-  Rng rng(8);
-  const Record entity = gen.value().Generate(0, rng);
-  for (RecordId id = 1; id <= 3; ++id) {
-    Record copy = entity;
-    copy.id = id;
-    ASSERT_TRUE(service.value()->Insert(copy).ok());
+  const std::vector<CbvHbConfig> configs =
+      DifferentialConfigs(gen.value().schema());
+  for (size_t c = 0; c < configs.size(); ++c) {
+    Result<std::unique_ptr<LinkageService>> service =
+        LinkageService::Create(configs[c]);
+    ASSERT_TRUE(service.ok());
+    const CVectorRecordEncoder& encoder = service.value()->encoder();
+    const PairClassifier classifier =
+        MakeRuleClassifier(configs[c].rule, encoder.layout());
+    size_t theta = 0;
+    EXPECT_EQ(classifier.AsWholeRecordThreshold(encoder.total_bits(), &theta),
+              c == 1);
   }
-  Record query = entity;
-  query.id = 42;
-  std::vector<IdPair> out;
-  ASSERT_TRUE(service.value()->Match(query, &out).ok());
-  EXPECT_EQ(out, (std::vector<IdPair>{{1, 42}}));
-  EXPECT_EQ(service.value()->metrics().scan_fallbacks, 0u);
+}
+
+TEST(ServiceDifferentialTest, ServedPairsEqualOfflineMatcher) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Record> full_registry =
+      GenerateRecords(gen.value(), 240, 21);
+  const std::vector<Record> full_queries =
+      DifferentialQueries(gen.value(), full_registry);
+  for (const CbvHbConfig& config :
+       DifferentialConfigs(gen.value().schema())) {
+    const std::vector<Record> registry = Project(full_registry, config.schema);
+    const std::vector<Record> queries = Project(full_queries, config.schema);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE(testing::Message() << "rule " << config.rule.ToString()
+                                      << ", threads " << threads);
+      ThreadPool pool(threads);
+      LinkageServiceOptions options;
+      options.execution = ExecutionOptions::WithThreads(threads);
+      Result<std::unique_ptr<LinkageService>> created =
+          LinkageService::Create(config, options);
+      ASSERT_TRUE(created.ok());
+      LinkageService& service = *created.value();
+      ASSERT_TRUE(service.InsertBatch(registry).ok());
+      std::map<RecordId, Record> live;
+      for (const Record& r : registry) live[r.id] = r;
+
+      // Fresh.
+      const std::vector<IdPair> fresh = ServedPairs(service, queries);
+      EXPECT_FALSE(fresh.empty());
+      EXPECT_EQ(fresh, OfflinePairs(config, Values(live), queries, &pool));
+
+      // A Delete/Update mix, then Compact(): the compacted epoch is a
+      // fresh build of the live set.
+      for (size_t i = 0; i < registry.size(); i += 5) {
+        ASSERT_TRUE(service.Delete(registry[i].id).ok());
+        live.erase(registry[i].id);
+      }
+      for (size_t i = 2; i < registry.size(); i += 7) {
+        if (!live.contains(registry[i].id)) continue;
+        Record updated = registry[(i * 3) % registry.size()];
+        updated.id = registry[i].id;
+        ASSERT_TRUE(service.Update(updated).ok());
+        live[updated.id] = updated;
+      }
+      ASSERT_TRUE(service.Compact().ok());
+      const std::vector<IdPair> compacted = ServedPairs(service, queries);
+      EXPECT_EQ(compacted,
+                OfflinePairs(config, Values(live), queries, &pool));
+
+      // Snapshot to disk and back.
+      const std::string path = UniqueTempPath("differential.cbvs");
+      ASSERT_TRUE(service.SaveSnapshotToFile(path).ok());
+      Result<std::unique_ptr<LinkageService>> restored =
+          LinkageService::RestoreFromFile(path);
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      EXPECT_EQ(ServedPairs(*restored.value(), queries), compacted);
+    }
+  }
+}
+
+// Concurrent Insert and Match, with Compact() publishing epochs under
+// both (the TSan drill for the epoch engine): every inserted record must
+// be findable afterwards, and the final state must equal the offline
+// engine over the same records.
+TEST(ServiceDifferentialTest, ConcurrentInsertMatchCompact) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const CbvHbConfig config = BaseConfig(gen.value().schema());
+  LinkageServiceOptions options;
+  options.execution = ExecutionOptions::WithThreads(2);
+  Result<std::unique_ptr<LinkageService>> created =
+      LinkageService::Create(config, options);
+  ASSERT_TRUE(created.ok());
+  LinkageService& service = *created.value();
+  const std::vector<Record> records = GenerateRecords(gen.value(), 200, 23);
+
+  constexpr size_t kWriters = 4;
+  std::atomic<bool> writing{true};
+  std::atomic<size_t> writers_left{kWriters};
+  std::atomic<uint64_t> observed{0};
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t i = w; i < records.size(); i += kWriters) {
+        EXPECT_TRUE(service.Insert(records[i]).ok());
+      }
+      if (--writers_left == 0) writing = false;
+    });
+  }
+  for (size_t r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      size_t probe = r;
+      while (writing) {
+        Record query = records[probe % records.size()];
+        query.id = 50000 + probe;
+        std::vector<IdPair> out;
+        EXPECT_TRUE(service.Match(query, &out).ok());
+        observed += out.size();
+        ++probe;
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (writing) EXPECT_TRUE(service.Compact().ok());
+  });
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(service.size(), records.size());
+  for (const Record& r : records) {
+    Record query = r;
+    query.id = 90000 + r.id;
+    std::vector<IdPair> out;
+    ASSERT_TRUE(service.Match(query, &out).ok());
+    EXPECT_TRUE(std::find(out.begin(), out.end(), IdPair{r.id, query.id}) !=
+                out.end())
+        << "record " << r.id << " not findable by its own fields";
+  }
+  ASSERT_TRUE(service.Compact().ok());
+  const std::vector<Record> queries =
+      DifferentialQueries(gen.value(), records);
+  EXPECT_EQ(ServedPairs(service, queries),
+            OfflinePairs(config, records, queries, nullptr));
 }
 
 }  // namespace

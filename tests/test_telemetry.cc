@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/telemetry/exporters.h"
+#include "tests/test_paths.h"
 
 namespace cbvlink {
 namespace telemetry {
@@ -286,7 +287,7 @@ TEST(ExporterTest, EmptyRegistryJsonIsStillAnObject) {
 TEST(ExporterTest, DumpJsonWritesAtomically) {
   std::unique_ptr<Registry> registry(GoldenRegistry());
   const std::string path =
-      testing::TempDir() + "/telemetry_dump_test.json";
+      UniqueTempPath("telemetry_dump_test.json");
   ASSERT_TRUE(DumpJson(*registry, path).ok());
 
   std::ifstream in(path);

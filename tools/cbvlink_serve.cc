@@ -28,9 +28,6 @@
 //   --alphanumeric         alphanumeric alphabet for every attribute
 //   --seed N               RNG seed (default 7)
 //   --num-threads N        batch worker threads (default 0 = hardware)
-//   --shards N             lock shards (default 16)
-//   --max-bucket N         bucket-size cap (default 0 = unlimited)
-//   --overflow POLICY      truncate | scan (default scan)
 //   --batch N              stream queries in batches of N (default 1024;
 //                          1 = strictly sequential arrivals)
 //   --out FILE             matched pairs CSV (default stdout)
@@ -132,9 +129,6 @@ struct Args {
   bool alphanumeric = false;
   uint64_t seed = 7;
   size_t threads = 0;
-  size_t shards = 16;
-  size_t max_bucket = 0;
-  std::string overflow = "scan";
   size_t batch = 1024;
   std::string out_path;
   std::string metrics_out;
@@ -224,16 +218,13 @@ class StatsReporter {
                                     ->Value();
       std::fprintf(stderr,
                    "[stats] queries=%llu (+%llu) matches=%llu "
-                   "comparisons=%llu candidates=%llu dropped=%llu "
-                   "scan_fallbacks=%llu skipped_rows=%llu "
+                   "comparisons=%llu candidates=%llu skipped_rows=%llu "
                    "queue_depth=%.0f drain_rate=%.1f/s\n",
                    static_cast<unsigned long long>(m.queries),
                    static_cast<unsigned long long>(m.queries - last_queries),
                    static_cast<unsigned long long>(m.matches),
                    static_cast<unsigned long long>(m.comparisons),
                    static_cast<unsigned long long>(m.candidate_occurrences),
-                   static_cast<unsigned long long>(m.dropped_entries),
-                   static_cast<unsigned long long>(m.scan_fallbacks),
                    static_cast<unsigned long long>(m.skipped_rows),
                    queue_depth, drain_rate);
       last_queries = m.queries;
@@ -264,8 +255,7 @@ void Usage() {
                "--queries B.csv\n"
                "  [--insert] [--snapshot-out FILE] [--rule RULE] [--theta N]\n"
                "  [--k N] [--delta X] [--alphanumeric] [--id-column NAME]\n"
-               "  [--num-threads N] [--shards N] [--max-bucket N] "
-               "[--overflow truncate|scan]\n"
+               "  [--num-threads N]\n"
                "  [--batch N] [--out FILE] [--seed N]\n"
                "  [--metrics-out FILE] [--stats-interval SEC]\n"
                "  [--listen [ADDR:]PORT] [--journal FILE] "
@@ -330,14 +320,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->seed = std::strtoull(v, nullptr, 10);
     } else if (flag == "--num-threads") {
       if (!next_size(&args->threads)) return false;
-    } else if (flag == "--shards") {
-      if (!next_size(&args->shards)) return false;
-    } else if (flag == "--max-bucket") {
-      if (!next_size(&args->max_bucket)) return false;
-    } else if (flag == "--overflow") {
-      const char* v = next();
-      if (!v) return false;
-      args->overflow = v;
     } else if (flag == "--batch") {
       if (!next_size(&args->batch)) return false;
     } else if (flag == "--out") {
@@ -391,10 +373,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
     }
-  }
-  if (args->overflow != "scan" && args->overflow != "truncate") {
-    std::fprintf(stderr, "--overflow must be 'scan' or 'truncate'\n");
-    return false;
   }
   if (args->batch == 0) args->batch = 1;
   size_t fsync_every = 1;
@@ -582,11 +560,6 @@ int RunMain(int argc, char** argv) {
   if (!args.follow.empty()) return RunStandby(args);
 
   LinkageServiceOptions options;
-  options.num_shards = args.shards;
-  options.max_bucket_size = args.max_bucket;
-  options.overflow_policy = args.overflow == "truncate"
-                                ? OverflowPolicy::kTruncate
-                                : OverflowPolicy::kScanFallback;
   options.execution = ExecutionOptions::WithThreads(args.threads);
 
   std::unique_ptr<LinkageService> service;
@@ -677,10 +650,9 @@ int RunMain(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr,
-                 "indexed %zu records, %zu blocking groups, %zu shards "
-                 "(%.2fs)\n",
+                 "indexed %zu records, %zu blocking groups (%.2fs)\n",
                  service->size(), service->blocking_groups(),
-                 service->options().num_shards, build_watch.ElapsedSeconds());
+                 build_watch.ElapsedSeconds());
   }
 
   // Journal: replay the tail BEFORE attaching (attached frames are
@@ -837,12 +809,6 @@ int RunMain(int argc, char** argv) {
                  latency.Quantile(0.50), latency.Quantile(0.90),
                  latency.Quantile(0.99),
                  static_cast<unsigned long long>(latency.max));
-  }
-  if (metrics.dropped_entries > 0 || metrics.scan_fallbacks > 0) {
-    std::fprintf(stderr, "bucket cap: %llu dropped entries, %llu scan "
-                         "fallbacks\n",
-                 static_cast<unsigned long long>(metrics.dropped_entries),
-                 static_cast<unsigned long long>(metrics.scan_fallbacks));
   }
   // Input/restore health, stated unconditionally: the skipped-row count
   // and fallback status are the two facts that explain a non-zero exit
