@@ -10,6 +10,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <unordered_set>
 
 #include "src/common/crc32.h"
 #include "src/common/failpoint.h"
@@ -420,6 +421,35 @@ Status AtomicWriteFile(const std::string& path, const std::string& payload,
   return Status::OK();
 }
 
+/// Rejects legacy slot values no writer ever produced: nothing reads the
+/// slots, but such a snapshot is corrupt.  (A tombstoned id may linger in
+/// a bucket.)
+Status CheckLegacySlots(uint64_t shards, uint32_t policy,
+                        const std::vector<RecordId>& bucket_ids,
+                        const ServiceSnapshot& snapshot) {
+  if (shards == 0 || (shards & (shards - 1)) != 0) {
+    return Status::InvalidArgument(
+        "snapshot num_shards must be a nonzero power of two");
+  }
+  if (policy > 1) {
+    return Status::InvalidArgument("snapshot overflow policy unknown");
+  }
+  if (bucket_ids.empty()) return Status::OK();
+  std::unordered_set<RecordId> backed(snapshot.tombstones.begin(),
+                                      snapshot.tombstones.end());
+  for (const EncodedRecord& record : snapshot.records) {
+    backed.insert(record.id);
+  }
+  for (RecordId id : bucket_ids) {
+    if (!backed.contains(id)) {
+      return Status::InvalidArgument(
+          "snapshot bucket references a record id that is neither stored "
+          "nor tombstoned");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void WireEncodeRecord(const Record& record, std::string* out) {
@@ -534,30 +564,21 @@ Result<std::vector<EncodedRecord>> ReadEncodedRecordsFromFile(
 }
 
 Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
-                            std::ostream& out, uint32_t version) {
+                            std::ostream& out) {
   CBVLINK_FAILPOINT("io.write_snapshot");
-  if (version == 0) version = kSnapshotVersion;
-  if (version < kVersion || version > kSnapshotVersion) {
-    return Status::InvalidArgument(
-        StrFormat("cannot write snapshot version %u", version));
-  }
-  if (version < 3 && (!snapshot.tombstones.empty() ||
-                      snapshot.last_sequence != 0)) {
-    return Status::InvalidArgument(
-        "snapshot version 2 cannot carry tombstones or a sequence floor");
-  }
   CrcWriter w(out);
   w.U32(kSnapshotMagic);
-  w.U32(version);
+  w.U32(kSnapshotVersion);
   w.U64(snapshot.seed);
   w.U64(snapshot.record_K);
   w.U64(snapshot.record_theta);
   w.F64(snapshot.delta);
   w.F64(snapshot.sizing_max_collisions);
   w.F64(snapshot.sizing_confidence_ratio);
-  w.U64(snapshot.num_shards);
-  w.U64(snapshot.max_bucket_size);
-  w.U32(snapshot.overflow_policy);
+  // Legacy slots (serialization.h): shard count, bucket cap, policy.
+  w.U64(16);
+  w.U64(0);
+  w.U32(0);
   w.Str(snapshot.rule_text);
   w.U32(static_cast<uint32_t>(snapshot.attributes.size()));
   for (const SnapshotAttribute& attr : snapshot.attributes) {
@@ -572,21 +593,12 @@ Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
   // nested header included, so tooling can share the reader.  The
   // snapshot's single trailing CRC covers the nested block too.
   CBVLINK_RETURN_NOT_OK(WriteEncodedRecordsBody(w, snapshot.records));
-  w.U64(snapshot.buckets.size());
-  for (const IndexBucketSnapshot& bucket : snapshot.buckets) {
-    w.U64(bucket.group);
-    w.U64(bucket.key);
-    w.U32(bucket.overflowed ? 1 : 0);
-    w.U64(bucket.ids.size());
-    for (RecordId id : bucket.ids) w.U64(id);
-  }
-  if (version >= 3) {
-    // Mutation block: the highest acknowledged delete/update sequence
-    // (the replay dedupe floor) and every live tombstone.
-    w.U64(snapshot.last_sequence);
-    w.U64(snapshot.tombstones.size());
-    for (RecordId id : snapshot.tombstones) w.U64(id);
-  }
+  w.U64(0);  // legacy bucket block: no buckets
+  // Mutation block: the highest acknowledged delete/update sequence (the
+  // replay dedupe floor) and every live tombstone.
+  w.U64(snapshot.last_sequence);
+  w.U64(snapshot.tombstones.size());
+  for (RecordId id : snapshot.tombstones) w.U64(id);
   w.CrcTrailer();
   if (!out) return Status::IOError("stream write failed");
   return Status::OK();
@@ -613,16 +625,16 @@ Result<ServiceSnapshot> ReadServiceSnapshot(std::istream& in) {
         StrFormat("unsupported snapshot version %u", version));
   }
   ServiceSnapshot snapshot;
+  uint64_t shards = 0;
+  uint64_t bucket_cap = 0;
   uint32_t policy = 0;
   if (!r.U64(&snapshot.seed) || !r.U64(&snapshot.record_K) ||
       !r.U64(&snapshot.record_theta) || !r.F64(&snapshot.delta) ||
       !r.F64(&snapshot.sizing_max_collisions) ||
-      !r.F64(&snapshot.sizing_confidence_ratio) ||
-      !r.U64(&snapshot.num_shards) || !r.U64(&snapshot.max_bucket_size) ||
-      !r.U32(&policy) || !r.Str(&snapshot.rule_text)) {
+      !r.F64(&snapshot.sizing_confidence_ratio) || !r.U64(&shards) ||
+      !r.U64(&bucket_cap) || !r.U32(&policy) || !r.Str(&snapshot.rule_text)) {
     return r.Error("snapshot configuration");
   }
-  snapshot.overflow_policy = policy;
   uint32_t num_attributes = 0;
   if (!r.U32(&num_attributes) ||
       // Each attribute costs at least two empty strings + u64 + u32.
@@ -652,30 +664,27 @@ Result<ServiceSnapshot> ReadServiceSnapshot(std::istream& in) {
   Status records_st =
       ReadEncodedRecordsBody(r, &snapshot.records, &nested_version);
   if (!records_st.ok()) return records_st;
+  // Legacy bucket block: parsed under the same caps as ever, its ids
+  // kept only for CheckLegacySlots.
   uint64_t num_buckets = 0;
   if (!r.U64(&num_buckets) ||
       // Minimum bucket: group + key + flag + empty id list.
       !r.CheckCount(num_buckets, kMaxBucketCount, 8 + 8 + 4 + 8, "bucket")) {
     return r.Error("snapshot bucket block");
   }
-  snapshot.buckets.reserve(r.ReserveHint(num_buckets));
+  std::vector<RecordId> bucket_ids;
   for (uint64_t i = 0; i < num_buckets; ++i) {
-    IndexBucketSnapshot bucket;
-    uint32_t overflowed = 0;
+    unsigned char group_key_flag[8 + 8 + 4];
     uint64_t count = 0;
-    if (!r.U64(&bucket.group) || !r.U64(&bucket.key) ||
-        !r.U32(&overflowed) || !r.U64(&count) ||
+    if (!r.Raw(group_key_flag, sizeof(group_key_flag)) || !r.U64(&count) ||
         !r.CheckCount(count, kMaxRecordCount, 8, "bucket id")) {
       return r.Error("snapshot bucket block");
     }
-    bucket.overflowed = overflowed != 0;
-    bucket.ids.reserve(r.ReserveHint(count));
     for (uint64_t j = 0; j < count; ++j) {
       RecordId id = 0;
       if (!r.U64(&id)) return r.Error("snapshot bucket block");
-      bucket.ids.push_back(id);
+      bucket_ids.push_back(id);
     }
-    snapshot.buckets.push_back(std::move(bucket));
   }
   if (version >= 3) {
     uint64_t num_tombstones = 0;
@@ -693,6 +702,7 @@ Result<ServiceSnapshot> ReadServiceSnapshot(std::istream& in) {
   if (version >= kVersion && !r.VerifyCrcTrailer()) {
     return r.Error("snapshot checksum");
   }
+  CBVLINK_RETURN_NOT_OK(CheckLegacySlots(shards, policy, bucket_ids, snapshot));
   return snapshot;
 }
 

@@ -15,12 +15,17 @@
 // A *service snapshot* ('CBVS') additionally persists everything a
 // long-lived linkage service needs to restart warm: the encoder/linker
 // configuration (schema, rule text, LSH and sizing parameters, seed —
-// enough to rebuild the random components identically), the service's
-// sharding options, the encoded records, and the blocking-table bucket
-// contents.  Snapshot version 3 appends a mutation block — the
+// enough to rebuild the random components identically) and the encoded
+// records.  Snapshot version 3 appends a mutation block — the
 // delete/update sequence floor and the tombstoned record ids — so a
 // restore keeps deleted records dead; versions 1 and 2 stay readable
 // (no tombstones).  See ServiceSnapshot below.
+//
+// Legacy slots: the layout still carries a shard count, a bucket-size
+// cap, an overflow policy and a bucket block from a retired sharded
+// index.  Restore rebuilds the tables from the records, so the writer
+// fills them with constants (16, 0, 0, no buckets) and the reader
+// checks and discards them; the version-3 layout is unchanged.
 //
 // Durability contract (version 2):
 //  * Every top-level file ends in a CRC32C trailer (src/common/crc32.h)
@@ -115,15 +120,8 @@ struct SnapshotAttribute {
   std::string alphabet_symbols;
   uint64_t qgram_q = 2;
   bool qgram_pad = false;
-};
 
-/// One persisted bucket of a blocking index: bucket (group, key) holds
-/// `ids`; `overflowed` records that the bucket-size cap dropped entries.
-struct IndexBucketSnapshot {
-  uint64_t group = 0;
-  uint64_t key = 0;
-  bool overflowed = false;
-  std::vector<RecordId> ids;
+  bool operator==(const SnapshotAttribute&) const = default;
 };
 
 /// Everything a linkage service persists: configuration + data.  The
@@ -144,15 +142,8 @@ struct ServiceSnapshot {
   double sizing_confidence_ratio = 1.0 / 3.0;
   uint64_t seed = 7;
 
-  // Service options.
-  uint64_t num_shards = 16;
-  uint64_t max_bucket_size = 0;
-  /// Raw service-layer overflow-policy tag (opaque to this module).
-  uint32_t overflow_policy = 0;
-
   // Data.
   std::vector<EncodedRecord> records;
-  std::vector<IndexBucketSnapshot> buckets;
 
   // Mutation state (snapshot version 3+; older files restore with both
   // at their defaults).
@@ -165,13 +156,10 @@ struct ServiceSnapshot {
   uint64_t last_sequence = 0;
 };
 
-/// Writes a service snapshot, ending in a CRC32C trailer.  Returns
-/// IOError on stream failure.  `version` selects the format for
-/// compatibility testing: 0 (the default) writes the current version 3;
-/// 2 writes the pre-mutation layout and requires `tombstones` empty and
-/// `last_sequence` zero.
+/// Writes a version-3 service snapshot, ending in a CRC32C trailer.
+/// Returns IOError on stream failure.
 Status WriteServiceSnapshot(const ServiceSnapshot& snapshot,
-                            std::ostream& out, uint32_t version = 0);
+                            std::ostream& out);
 
 /// Writes to a file path atomically: the snapshot is staged in
 /// AtomicTempPath(path), fsynced, the previous snapshot (if any) is
@@ -182,8 +170,10 @@ Status WriteServiceSnapshotToFile(const ServiceSnapshot& snapshot,
                                   const std::string& path);
 
 /// Reads a service snapshot (version 1, 2, or 3).  Returns InvalidArgument
-/// on a corrupt or foreign header, an over-cap length field, or a
-/// checksum mismatch, and IOError on truncated input.
+/// on a corrupt or foreign header, an over-cap length field, a checksum
+/// mismatch, or a legacy slot no writer produced (shards not a nonzero
+/// power of two, policy above 1, a bucket id neither stored nor
+/// tombstoned), and IOError on truncated input.
 Result<ServiceSnapshot> ReadServiceSnapshot(std::istream& in);
 
 /// Reads from a file path.

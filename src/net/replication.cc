@@ -157,11 +157,11 @@ Status Replica::SyncFromSnapshotImpl() {
     // Re-sync (journal rotated under the cursor, or the tail went
     // corrupt).  service_ must stay pointer-stable — a read-only
     // NetServer and Promote() hold it — so reconcile the snapshot into
-    // the live service instead of swapping it: absent records are
-    // inserted, snapshot tombstones (and local records the snapshot no
-    // longer mentions at all — deleted then compacted away on the
-    // primary) are deleted, and the sequence floor is raised, making
-    // the merge equivalent to a fresh restore.
+    // the live service instead of swapping it: absent or changed
+    // records are upserted, snapshot tombstones (and local records the
+    // snapshot no longer mentions at all — deleted then compacted away
+    // on the primary) are deleted, and the sequence floor is raised,
+    // making the merge equivalent to a fresh restore.
     auto merged = service_->MergeSnapshotRecords(snapshot.value());
     CBVLINK_RETURN_NOT_OK(merged.status());
     merged_records = merged.value();

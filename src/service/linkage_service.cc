@@ -40,6 +40,80 @@ void AtomicMaxRelaxed(std::atomic<uint64_t>* target, uint64_t value) {
   }
 }
 
+/// Cross-checks a decoded snapshot before any of it is acted on: a
+/// snapshot that passed the CRC can still be semantically inconsistent
+/// (hand-edited, produced by a buggy writer, or a v1 file with flipped
+/// bits predating checksums).
+Status ValidateSnapshot(const ServiceSnapshot& snapshot) {
+  if (snapshot.attributes.empty()) {
+    return Status::InvalidArgument("snapshot has no attributes");
+  }
+  if (snapshot.expected_qgrams.size() != snapshot.attributes.size()) {
+    return Status::InvalidArgument(
+        "snapshot expected_qgrams/attribute count mismatch");
+  }
+  for (double b : snapshot.expected_qgrams) {
+    if (!std::isfinite(b) || b <= 0) {
+      return Status::InvalidArgument(
+          "snapshot expected q-gram counts must be finite and positive");
+    }
+  }
+  if (!std::isfinite(snapshot.delta) || snapshot.delta <= 0 ||
+      snapshot.delta >= 1) {
+    return Status::InvalidArgument(
+        "snapshot delta must be finite and in (0, 1)");
+  }
+  if (!std::isfinite(snapshot.sizing_max_collisions) ||
+      snapshot.sizing_max_collisions <= 0) {
+    return Status::InvalidArgument(
+        "snapshot sizing_max_collisions must be finite and positive");
+  }
+  if (!std::isfinite(snapshot.sizing_confidence_ratio) ||
+      snapshot.sizing_confidence_ratio <= 0 ||
+      snapshot.sizing_confidence_ratio > 1) {
+    return Status::InvalidArgument(
+        "snapshot sizing_confidence_ratio must be finite and in (0, 1]");
+  }
+  std::unordered_set<RecordId> stored;
+  stored.reserve(snapshot.records.size());
+  for (const EncodedRecord& record : snapshot.records) {
+    if (!stored.insert(record.id).second) {
+      return Status::InvalidArgument(
+          "snapshot contains duplicate record ids");
+    }
+  }
+  for (RecordId id : snapshot.tombstones) {
+    if (stored.contains(id)) {
+      return Status::InvalidArgument(
+          "snapshot tombstones a record id it also stores");
+    }
+  }
+  return Status::OK();
+}
+
+/// InvalidArgument unless every snapshot record is `bits` wide.
+Status CheckRecordWidths(const ServiceSnapshot& snapshot, size_t bits) {
+  for (const EncodedRecord& record : snapshot.records) {
+    if (record.bits.size() != bits) {
+      return Status::InvalidArgument(
+          "snapshot record width does not match the service's encoder");
+    }
+  }
+  return Status::OK();
+}
+
+/// True when `a` and `b` describe the same encoder, LSH family and rule
+/// (their data is not compared).
+bool SameConfiguration(const ServiceSnapshot& a, const ServiceSnapshot& b) {
+  return a.attributes == b.attributes &&
+         a.expected_qgrams == b.expected_qgrams &&
+         a.rule_text == b.rule_text && a.record_K == b.record_K &&
+         a.record_theta == b.record_theta && a.delta == b.delta &&
+         a.sizing_max_collisions == b.sizing_max_collisions &&
+         a.sizing_confidence_ratio == b.sizing_confidence_ratio &&
+         a.seed == b.seed;
+}
+
 }  // namespace
 
 struct LinkageService::IndexEpoch {
@@ -431,24 +505,33 @@ Result<JournalReplayStats> LinkageService::ReplayJournalFile(
 
 Result<uint64_t> LinkageService::MergeSnapshotRecords(
     const ServiceSnapshot& snapshot) {
-  const size_t expected_bits = encoder_->total_bits();
-  for (const EncodedRecord& record : snapshot.records) {
-    if (record.bits.size() != expected_bits) {
-      return Status::InvalidArgument(
-          "snapshot record width does not match this service's encoder");
-    }
+  CBVLINK_RETURN_NOT_OK(ValidateSnapshot(snapshot));
+  // Records encoded by another hash family would silently mix with ours.
+  if (!SameConfiguration(snapshot, ExportConfiguration())) {
+    return Status::InvalidArgument(
+        "snapshot configuration does not match this service's");
   }
+  CBVLINK_RETURN_NOT_OK(CheckRecordWidths(snapshot, encoder_->total_bits()));
   std::unordered_set<RecordId> known;
   known.reserve(snapshot.records.size() + snapshot.tombstones.size());
   for (const EncodedRecord& record : snapshot.records) known.insert(record.id);
   known.insert(snapshot.tombstones.begin(), snapshot.tombstones.end());
   uint64_t inserted = 0;
+  uint64_t updated = 0;
   uint64_t deleted = 0;
   WithWriteLock([&](IndexEpoch& index) {
+    // Upsert every record that is absent here or whose bits differ (the
+    // primary updated it after this follower last saw it).
     for (const EncodedRecord& record : snapshot.records) {
-      if (index.IsLive(record.id)) continue;
+      const bool live = index.IsLive(record.id);
+      const std::vector<uint64_t>& words = record.bits.words();
+      if (live && std::equal(words.begin(), words.end(),
+                             index.store.WordsAt(
+                                 index.store.DenseIndex(record.id)))) {
+        continue;
+      }
       index.Upsert(record);
-      ++inserted;
+      ++(live ? updated : inserted);
     }
     // Reconcile deletions.  The snapshot is newer than every local frame
     // (it is fetched precisely because the local cursor fell behind), so
@@ -471,9 +554,11 @@ Result<uint64_t> LinkageService::MergeSnapshotRecords(
   });
   inserts_.fetch_add(inserted, std::memory_order_relaxed);
   t_inserts_->Add(inserted);
+  updates_.fetch_add(updated, std::memory_order_relaxed);
+  t_updates_->Add(updated);
   deletes_.fetch_add(deleted, std::memory_order_relaxed);
   t_deletes_->Add(deleted);
-  return inserted + deleted;
+  return inserted + updated + deleted;
 }
 
 Status LinkageService::Compact() {
@@ -711,7 +796,7 @@ Status LinkageService::MatchBatch(const std::vector<Record>& records,
   return first_error;
 }
 
-ServiceSnapshot LinkageService::ExportSnapshot() const {
+ServiceSnapshot LinkageService::ExportConfiguration() const {
   ServiceSnapshot snapshot;
   for (const AttributeSpec& attr : config_.schema.attributes) {
     snapshot.attributes.push_back(SnapshotAttribute{
@@ -725,13 +810,15 @@ ServiceSnapshot LinkageService::ExportSnapshot() const {
   snapshot.sizing_max_collisions = config_.sizing.max_collisions;
   snapshot.sizing_confidence_ratio = config_.sizing.confidence_ratio;
   snapshot.seed = config_.seed;
-  // num_shards / max_bucket_size / overflow_policy keep their struct
-  // defaults: valid values the service no longer acts on.
+  return snapshot;
+}
 
+ServiceSnapshot LinkageService::ExportSnapshot() const {
+  ServiceSnapshot snapshot = ExportConfiguration();
   // Shared against the compactor, so no epoch swap lands mid-export, and
   // the epoch lock shared, so no mutation does: the sequence floor, the
-  // records, the tombstones and the buckets are one consistent cut.
-  // Writers wait for the in-memory copy; readers do not.
+  // records and the tombstones are one consistent cut.  Writers wait for
+  // the in-memory copy; readers do not.
   std::shared_lock compaction_guard(compaction_mu_);
   const std::shared_ptr<IndexEpoch> index = PinIndex();
   std::shared_lock lock(index->mu);
@@ -739,18 +826,6 @@ ServiceSnapshot LinkageService::ExportSnapshot() const {
   snapshot.records = index->LiveRecords();
   snapshot.tombstones = index->store.DeadIds();
   std::sort(snapshot.tombstones.begin(), snapshot.tombstones.end());
-  const std::vector<BlockingTable>& tables = index->blocker.tables();
-  for (size_t l = 0; l < tables.size(); ++l) {
-    const size_t first = snapshot.buckets.size();
-    for (const auto& [key, ids] : tables[l].buckets()) {
-      snapshot.buckets.push_back(IndexBucketSnapshot{l, key, false, ids});
-    }
-    std::sort(snapshot.buckets.begin() + static_cast<std::ptrdiff_t>(first),
-              snapshot.buckets.end(),
-              [](const IndexBucketSnapshot& a, const IndexBucketSnapshot& b) {
-                return a.key < b.key;
-              });
-  }
   return snapshot;
 }
 
@@ -772,83 +847,6 @@ Status LinkageService::SaveSnapshotToFile(const std::string& path) const {
   }
   return Status::OK();
 }
-
-namespace {
-
-/// Cross-checks a decoded snapshot before any of it is acted on: a
-/// snapshot that passed the CRC can still be semantically inconsistent
-/// (hand-edited, produced by a buggy writer, or a v1 file with flipped
-/// bits predating checksums).
-Status ValidateSnapshot(const ServiceSnapshot& snapshot) {
-  if (snapshot.attributes.empty()) {
-    return Status::InvalidArgument("snapshot has no attributes");
-  }
-  if (snapshot.expected_qgrams.size() != snapshot.attributes.size()) {
-    return Status::InvalidArgument(
-        "snapshot expected_qgrams/attribute count mismatch");
-  }
-  for (double b : snapshot.expected_qgrams) {
-    if (!std::isfinite(b) || b <= 0) {
-      return Status::InvalidArgument(
-          "snapshot expected q-gram counts must be finite and positive");
-    }
-  }
-  if (!std::isfinite(snapshot.delta) || snapshot.delta <= 0 ||
-      snapshot.delta >= 1) {
-    return Status::InvalidArgument(
-        "snapshot delta must be finite and in (0, 1)");
-  }
-  if (!std::isfinite(snapshot.sizing_max_collisions) ||
-      snapshot.sizing_max_collisions <= 0) {
-    return Status::InvalidArgument(
-        "snapshot sizing_max_collisions must be finite and positive");
-  }
-  if (!std::isfinite(snapshot.sizing_confidence_ratio) ||
-      snapshot.sizing_confidence_ratio <= 0 ||
-      snapshot.sizing_confidence_ratio > 1) {
-    return Status::InvalidArgument(
-        "snapshot sizing_confidence_ratio must be finite and in (0, 1]");
-  }
-  if (snapshot.num_shards == 0 ||
-      (snapshot.num_shards & (snapshot.num_shards - 1)) != 0) {
-    return Status::InvalidArgument(
-        "snapshot num_shards must be a nonzero power of two");
-  }
-  if (snapshot.overflow_policy > 1) {
-    return Status::InvalidArgument("snapshot overflow policy unknown");
-  }
-  std::unordered_set<RecordId> stored;
-  stored.reserve(snapshot.records.size());
-  for (const EncodedRecord& record : snapshot.records) {
-    if (!stored.insert(record.id).second) {
-      return Status::InvalidArgument(
-          "snapshot contains duplicate record ids");
-    }
-  }
-  std::unordered_set<RecordId> tombstoned;
-  tombstoned.reserve(snapshot.tombstones.size());
-  for (RecordId id : snapshot.tombstones) {
-    if (stored.contains(id)) {
-      return Status::InvalidArgument(
-          "snapshot tombstones a record id it also stores");
-    }
-    tombstoned.insert(id);
-  }
-  for (const IndexBucketSnapshot& bucket : snapshot.buckets) {
-    for (RecordId id : bucket.ids) {
-      // A tombstoned id may linger in buckets until compaction; anything
-      // else unbacked is corruption.
-      if (!stored.contains(id) && !tombstoned.contains(id)) {
-        return Status::InvalidArgument(
-            "snapshot bucket references a record id that is neither "
-            "stored nor tombstoned");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
     const ServiceSnapshot& snapshot) {
@@ -881,16 +879,10 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
   service.owned_alphabets_ = std::move(alphabets);
 
   const size_t expected_bits = service.encoder_->total_bits();
-  for (const EncodedRecord& record : snapshot.records) {
-    if (record.bits.size() != expected_bits) {
-      return Status::InvalidArgument(
-          "snapshot record width does not match the restored encoder");
-    }
-  }
+  CBVLINK_RETURN_NOT_OK(CheckRecordWidths(snapshot, expected_bits));
   // Widths validated; nothing else can see the service yet, so load
-  // without locks.  The tables are rebuilt from the records (the
-  // persisted buckets were only validated): this drops stale entries,
-  // exactly as a compaction would.
+  // without locks.  The tables are rebuilt from the records, so a
+  // restored index holds no stale entries, exactly as after a compaction.
   IndexEpoch& index = *service.index_;
   index.store.AddAll(snapshot.records);
   // Mutation state (version 3+; defaults for older snapshots): restored
@@ -1001,8 +993,6 @@ void LinkageService::FillTelemetry(telemetry::Registry* registry) const {
       ->Set(1.0);
   const ServiceMetrics m = metrics();
   reg.GetGauge("service_records")->Set(static_cast<double>(m.live_records));
-  // One index epoch serves every query (the series predates it).
-  reg.GetGauge("service_shards")->Set(1.0);
   reg.GetGauge("service_query_wall_seconds")->Set(m.query_wall_seconds);
   reg.GetGauge("service_insert_wall_seconds")->Set(m.insert_wall_seconds);
   reg.GetGauge("service_queries_per_second")->Set(m.QueriesPerSecond());

@@ -154,12 +154,11 @@ class LinkageService {
   /// (version 3+) the mutation state — tombstoned ids and the
   /// delete/update sequence floor — are loaded from the persisted data,
   /// so a restore keeps deleted records dead, and the blocking tables
-  /// are rebuilt from the stored records.  The snapshot is semantically
-  /// validated first (finite parameters, power-of-two num_shards, known
-  /// overflow policy, unique record ids, tombstones disjoint from the
-  /// records, every bucket id backed by a stored or tombstoned record,
-  /// record widths matching the rebuilt encoder) — InvalidArgument on
-  /// any violation.
+  /// are rebuilt from the stored records (snapshots persist none).  The
+  /// snapshot is semantically validated first (finite parameters, unique
+  /// record ids, tombstones disjoint from the records, record widths
+  /// matching the rebuilt encoder) — InvalidArgument on any violation.
+  /// ReadServiceSnapshot has already checked the legacy slots.
   static Result<std::unique_ptr<LinkageService>> Restore(
       const ServiceSnapshot& snapshot);
 
@@ -267,17 +266,17 @@ class LinkageService {
   /// actually applied.
   Result<JournalReplayStats> ReplayJournalFile(const std::string& path);
 
-  /// Reconciles this live service with `snapshot`: records absent here
-  /// are indexed as-is (no re-encoding), ids the snapshot tombstones are
-  /// deleted here, and local live ids the snapshot carries neither live
-  /// nor tombstoned are deleted too (the primary may have compacted its
-  /// tombstones away — absence from a newer snapshot means deleted).
-  /// This is the replication follower's re-sync path — the service
-  /// object (and every pointer a serving NetServer holds to it) stays
-  /// stable while the state catches up past a journal rotation.  All
-  /// record widths are validated against this service's encoder before
-  /// anything is applied; InvalidArgument leaves the service unchanged.
-  /// Returns the number of mutations actually applied.
+  /// Reconciles this live service with `snapshot` so it equals a fresh
+  /// Restore: records absent here or live with other bits (updated on
+  /// the primary) are indexed as-is (no re-encoding); ids the snapshot
+  /// tombstones are deleted here, and so are local live ids the snapshot
+  /// carries neither live nor tombstoned (the primary may have compacted
+  /// its tombstones away).  This is the replication follower's re-sync
+  /// path — the service object (and every pointer a serving NetServer
+  /// holds to it) stays stable.  The snapshot must pass Restore's checks
+  /// and match this service's configuration (schema, expected q-grams,
+  /// sizing, seed, rule, K, theta, delta); InvalidArgument leaves the
+  /// service unchanged.  Returns the number of mutations applied.
   Result<uint64_t> MergeSnapshotRecords(const ServiceSnapshot& snapshot);
 
   /// True when a record with `id` is stored and live (tombstoned ids
@@ -328,6 +327,9 @@ class LinkageService {
   LinkageService(CbvHbConfig config, LinkageServiceOptions options);
 
   Status Init();
+
+  /// ExportSnapshot without records or mutation state.
+  ServiceSnapshot ExportConfiguration() const;
 
   /// One index epoch: the offline engine's store, blocking tables and
   /// matcher, behind one reader/writer lock (defined in the .cc).

@@ -17,6 +17,7 @@
 #include "src/datagen/generators.h"
 #include "src/io/serialization.h"
 #include "src/service/linkage_service.h"
+#include "tests/snapshot_image.h"
 #include "tests/test_paths.h"
 
 namespace cbvlink {
@@ -33,8 +34,9 @@ EncodedRecord MakeRecord(RecordId id, size_t bits, uint64_t seed) {
   return r;
 }
 
-// A small but fully populated snapshot (every block type non-empty) so
-// the byte sweeps cover each section of the format.
+// A small but fully populated snapshot (every block the writer emits is
+// non-empty, the mutation block included) so the byte sweeps cover each
+// section of the format.
 ServiceSnapshot ReferenceSnapshot() {
   ServiceSnapshot snapshot;
   snapshot.attributes = {
@@ -47,23 +49,19 @@ ServiceSnapshot ReferenceSnapshot() {
   snapshot.record_theta = 3;
   snapshot.delta = 0.05;
   snapshot.seed = 99;
-  snapshot.num_shards = 8;
-  snapshot.max_bucket_size = 128;
-  snapshot.overflow_policy = 1;
   for (RecordId id = 0; id < 10; ++id) {
     snapshot.records.push_back(MakeRecord(id, 70, id + 1));
   }
-  snapshot.buckets = {
-      {0, 0x1234, false, {1, 2, 3}},
-      {2, 0xffff, true, {7}},
-  };
+  snapshot.tombstones = {20, 21};
+  snapshot.last_sequence = 42;
   return snapshot;
 }
 
-std::string SerializeSnapshot(const ServiceSnapshot& snapshot) {
-  std::ostringstream out;
-  EXPECT_TRUE(WriteServiceSnapshot(snapshot, out).ok());
-  return out.str();
+// ReferenceSnapshot as an older writer produced it: real legacy slot
+// values and a non-empty bucket block, one bucket holding a tombstone.
+std::string LegacyReferenceImage() {
+  return LegacyImage(ReferenceSnapshot(), {{0, 0x1234, false, {1, 2, 3}},
+                                           {2, 0xffff, true, {7, 20}}});
 }
 
 Status ReadSnapshotBytes(const std::string& bytes) {
@@ -77,28 +75,33 @@ Status ReadRecordBytes(const std::string& bytes) {
 }
 
 TEST(CorruptionSweepTest, SnapshotTruncatedAtEveryOffsetIsRejected) {
-  const std::string full = SerializeSnapshot(ReferenceSnapshot());
-  ASSERT_GT(full.size(), 100u);
-  ASSERT_TRUE(ReadSnapshotBytes(full).ok());
-  for (size_t cut = 0; cut < full.size(); ++cut) {
-    const Status st = ReadSnapshotBytes(full.substr(0, cut));
-    EXPECT_FALSE(st.ok()) << "truncation at offset " << cut
-                          << " was accepted";
+  for (const std::string& full :
+       {WriterImage(ReferenceSnapshot()), LegacyReferenceImage()}) {
+    ASSERT_GT(full.size(), 100u);
+    ASSERT_TRUE(ReadSnapshotBytes(full).ok());
+    for (size_t cut = 0; cut < full.size(); ++cut) {
+      const Status st = ReadSnapshotBytes(full.substr(0, cut));
+      EXPECT_FALSE(st.ok()) << "truncation at offset " << cut << " of "
+                            << full.size() << " was accepted";
+    }
   }
 }
 
 TEST(CorruptionSweepTest, SnapshotByteFlipAtEveryOffsetIsRejected) {
-  const std::string full = SerializeSnapshot(ReferenceSnapshot());
   // CRC32C detects every single-byte error, so all of these — including
   // flips inside the trailer itself — must fail; the hard caps keep
   // flipped length fields from demanding huge allocations on the way.
-  for (size_t i = 0; i < full.size(); ++i) {
-    for (const unsigned char delta : {0x01, 0x80, 0xFF}) {
-      std::string corrupt = full;
-      corrupt[i] = static_cast<char>(corrupt[i] ^ delta);
-      const Status st = ReadSnapshotBytes(corrupt);
-      EXPECT_FALSE(st.ok())
-          << "flip ^" << int{delta} << " at offset " << i << " was accepted";
+  for (const std::string& full :
+       {WriterImage(ReferenceSnapshot()), LegacyReferenceImage()}) {
+    ASSERT_TRUE(ReadSnapshotBytes(full).ok());
+    for (size_t i = 0; i < full.size(); ++i) {
+      for (const unsigned char delta : {0x01, 0x80, 0xFF}) {
+        std::string corrupt = full;
+        corrupt[i] = static_cast<char>(corrupt[i] ^ delta);
+        const Status st = ReadSnapshotBytes(corrupt);
+        EXPECT_FALSE(st.ok()) << "flip ^" << int{delta} << " at offset " << i
+                              << " of " << full.size() << " was accepted";
+      }
     }
   }
 }
@@ -156,6 +159,14 @@ TEST(CorruptionSweepTest, AdversarialLengthFieldsAreCappedNotAllocated) {
   snap += le64(16) + le64(0) + le32(0);              // shards, cap, policy
   snap += le32(0xFFFFFFFFu);                         // rule length
   EXPECT_FALSE(ReadSnapshotBytes(snap).ok());
+  // Snapshot whose legacy bucket block claims 2^62 buckets (CRC resealed,
+  // so only the cap can stop it).
+  const ServiceSnapshot reference = ReferenceSnapshot();
+  std::string buckets = WriterImage(reference);
+  PatchLe(&buckets, BucketCountOffset(buckets, reference), uint64_t{1} << 62,
+          8);
+  ResealCrc(&buckets);
+  EXPECT_EQ(ReadSnapshotBytes(buckets).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CorruptionSweepTest, LegacyV1FilesStillReadable) {

@@ -13,11 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "src/blocking/record_blocker.h"
 #include "src/common/mutation.h"
 #include "src/datagen/generators.h"
 #include "src/io/journal.h"
 #include "src/io/serialization.h"
 #include "src/service/linkage_service.h"
+#include "tests/snapshot_image.h"
 #include "tests/test_paths.h"
 
 namespace cbvlink {
@@ -59,6 +61,31 @@ std::unique_ptr<LinkageService> MakeService(
   return std::move(service).value();
 }
 
+/// The blocking-table buckets a service with `config` holds over
+/// `records` — what a snapshot's bucket block carried before the writer
+/// left it empty — with the LSH family drawn from the seed in the
+/// service's order (encoder, then blocker).
+std::vector<LegacyBucket> ServiceBuckets(
+    const CbvHbConfig& config, const std::vector<EncodedRecord>& records) {
+  Rng rng(config.seed);
+  Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
+      config.schema, config.expected_qgrams, rng, config.sizing);
+  EXPECT_TRUE(encoder.ok());
+  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
+      encoder.value().total_bits(), config.record_K, config.record_theta,
+      config.delta, rng);
+  EXPECT_TRUE(blocker.ok());
+  blocker.value().BulkInsert(records);
+  std::vector<LegacyBucket> buckets;
+  const std::vector<BlockingTable>& tables = blocker.value().tables();
+  for (size_t l = 0; l < tables.size(); ++l) {
+    for (const auto& [key, ids] : tables[l].buckets()) {
+      buckets.push_back(LegacyBucket{l, key, false, ids});
+    }
+  }
+  return buckets;
+}
+
 /// Matches a copy of `record` under a fresh query id.
 std::vector<IdPair> MatchOne(const LinkageService& service,
                              const Record& record, RecordId query_id = 9000) {
@@ -67,6 +94,25 @@ std::vector<IdPair> MatchOne(const LinkageService& service,
   std::vector<IdPair> out;
   EXPECT_TRUE(service.Match(query, &out).ok());
   return out;
+}
+
+/// Restores `image` and expects every query in `queries` to match as
+/// it does on `live`.
+void ExpectRestoresToLiveMatches(const std::string& image,
+                                 const LinkageService& live,
+                                 const std::vector<Record>& queries) {
+  Result<ServiceSnapshot> read = ReadImage(image);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  Result<std::unique_ptr<LinkageService>> restored =
+      LinkageService::Restore(read.value());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value()->size(), live.size());
+  EXPECT_EQ(restored.value()->tombstone_count(), live.tombstone_count());
+  EXPECT_EQ(restored.value()->last_sequence(), live.last_sequence());
+  for (const Record& q : queries) {
+    EXPECT_EQ(MatchOne(*restored.value(), q), MatchOne(live, q))
+        << "query " << q.id;
+  }
 }
 
 TEST(MutationTest, DeleteHidesRecordImmediately) {
@@ -185,20 +231,43 @@ TEST(MutationTest, V2SnapshotFormatStillRoundTrips) {
   const std::vector<Record> records = GenerateRecords(gen.value(), 4, 1);
   for (const Record& r : records) ASSERT_TRUE(service->Insert(r).ok());
 
-  // A mutation-free snapshot still writes (and reads back) as version 2.
-  ServiceSnapshot snapshot = service->ExportSnapshot();
-  std::stringstream v2;
-  ASSERT_TRUE(WriteServiceSnapshot(snapshot, v2, /*version=*/2).ok());
-  Result<ServiceSnapshot> reread = ReadServiceSnapshot(v2);
+  // A version-2 image as the pre-mutation writer produced it: no
+  // mutation block, and the service's buckets in the bucket block.
+  const ServiceSnapshot snapshot = service->ExportSnapshot();
+  const std::string v2 = LegacyImage(
+      snapshot, ServiceBuckets(BaseConfig(gen.value().schema()),
+                               snapshot.records),
+      /*version=*/2);
+  Result<ServiceSnapshot> reread = ReadImage(v2);
   ASSERT_TRUE(reread.ok()) << reread.status().ToString();
   EXPECT_TRUE(reread.value().tombstones.empty());
   EXPECT_EQ(reread.value().last_sequence, 0u);
-  EXPECT_TRUE(LinkageService::Restore(reread.value()).ok());
+  ExpectRestoresToLiveMatches(v2, *service, records);
+}
 
-  // Mutation state cannot be smuggled into the old layout.
-  snapshot.tombstones = {99};
-  std::stringstream rejected;
-  EXPECT_FALSE(WriteServiceSnapshot(snapshot, rejected, /*version=*/2).ok());
+TEST(MutationTest, LegacyV3SnapshotWithBucketsRestoresLiveMatches) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  std::unique_ptr<LinkageService> service = MakeService(gen.value());
+  const std::vector<Record> records = GenerateRecords(gen.value(), 10, 1);
+  for (const Record& r : records) ASSERT_TRUE(service->Insert(r).ok());
+  ASSERT_TRUE(service->Delete(records[2].id).ok());
+  ASSERT_TRUE(service->Delete(records[5].id).ok());
+  Record updated = records[1];
+  updated.fields = records[9].fields;
+  ASSERT_TRUE(service->Update(updated).ok());
+
+  // The bucket block an older writer produced: the live records' buckets
+  // plus stale entries for the tombstoned ids, which linger until a
+  // compaction.
+  const ServiceSnapshot snapshot = service->ExportSnapshot();
+  std::vector<LegacyBucket> buckets =
+      ServiceBuckets(BaseConfig(gen.value().schema()), snapshot.records);
+  ASSERT_FALSE(buckets.empty());
+  buckets.push_back(LegacyBucket{0, 0xdead, false, snapshot.tombstones});
+  const std::string image = LegacyImage(snapshot, buckets);
+  ASSERT_GT(image.size(), WriterImage(snapshot).size());
+  ExpectRestoresToLiveMatches(image, *service, records);
 }
 
 TEST(MutationTest, DeleteAndUpdateSurviveCrashAndReplay) {
@@ -513,6 +582,123 @@ TEST(MutationTest, MergeSnapshotRecordsReconcilesDeletes) {
     EXPECT_EQ(MatchOne(*follower, q), MatchOne(*primary, q))
         << "query " << q.id;
   }
+}
+
+// A follower that saw a record before the primary updated it must take
+// the new bits on re-sync: skipping every live id left it stale for good
+// once the update frame rotated out of the journal.
+TEST(MutationTest, MergeSnapshotRecordsUpsertsRecordsUpdatedOnThePrimary) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Record> records = GenerateRecords(gen.value(), 5, 1);
+  std::unique_ptr<LinkageService> primary = MakeService(gen.value());
+  for (size_t i = 0; i < 4; ++i) ASSERT_TRUE(primary->Insert(records[i]).ok());
+  Result<std::unique_ptr<LinkageService>> follower =
+      LinkageService::Restore(primary->ExportSnapshot());
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+
+  // Record 0 now carries record 4's fields on the primary only.
+  Record updated = records[4];
+  updated.id = records[0].id;
+  ASSERT_TRUE(primary->Update(updated).ok());
+  const ServiceSnapshot snapshot = primary->ExportSnapshot();
+
+  Result<uint64_t> merged = follower.value()->MergeSnapshotRecords(snapshot);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.value(), 1u);
+  Result<std::unique_ptr<LinkageService>> fresh =
+      LinkageService::Restore(snapshot);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(MatchOne(*primary, records[4]).size(), 1u);
+  for (const Record& q : records) {
+    EXPECT_EQ(MatchOne(*follower.value(), q), MatchOne(*primary, q))
+        << "query " << q.id;
+    EXPECT_EQ(MatchOne(*fresh.value(), q), MatchOne(*primary, q))
+        << "query " << q.id;
+  }
+  EXPECT_TRUE(WriterImage(follower.value()->ExportSnapshot()) ==
+              WriterImage(snapshot));
+
+  // A second merge of the same snapshot changes nothing.
+  merged = follower.value()->MergeSnapshotRecords(snapshot);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged.value(), 0u);
+}
+
+// Record widths do not depend on the seed, so a width check alone let a
+// snapshot from another hash family merge in.
+TEST(MutationTest, MergeSnapshotRecordsRejectsAForeignConfiguration) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const std::vector<Record> records = GenerateRecords(gen.value(), 3, 1);
+  CbvHbConfig seed7 = BaseConfig(gen.value().schema());
+  seed7.seed = 7;
+  CbvHbConfig seed8 = seed7;
+  seed8.seed = 8;
+  Result<std::unique_ptr<LinkageService>> follower =
+      LinkageService::Create(seed7);
+  Result<std::unique_ptr<LinkageService>> foreign =
+      LinkageService::Create(seed8);
+  ASSERT_TRUE(follower.ok() && foreign.ok());
+  ASSERT_TRUE(follower.value()->Insert(records[0]).ok());
+  for (const Record& r : records) {
+    ASSERT_TRUE(foreign.value()->Insert(r).ok());
+  }
+  const std::string before = WriterImage(follower.value()->ExportSnapshot());
+
+  const auto expect_rejected = [&](const ServiceSnapshot& snapshot,
+                                   const char* what) {
+    Result<uint64_t> merged = follower.value()->MergeSnapshotRecords(snapshot);
+    EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_TRUE(WriterImage(follower.value()->ExportSnapshot()) == before)
+        << what << ": the service changed";
+  };
+  expect_rejected(foreign.value()->ExportSnapshot(), "seed 8 into seed 7");
+
+  // Every configuration field counts, not only the seed.
+  const ServiceSnapshot own = [&] {
+    std::unique_ptr<LinkageService> twin =
+        std::move(LinkageService::Create(seed7)).value();
+    for (const Record& r : records) EXPECT_TRUE(twin->Insert(r).ok());
+    return twin->ExportSnapshot();
+  }();
+  ServiceSnapshot s = own;
+  s.attributes[0].name = "Renamed";
+  expect_rejected(s, "attribute name");
+  s = own;
+  s.attributes[1].qgram_q += 1;
+  expect_rejected(s, "q-gram length");
+  s = own;
+  s.expected_qgrams[0] += 1;
+  expect_rejected(s, "expected q-grams");
+  s = own;
+  s.sizing_max_collisions *= 2;
+  expect_rejected(s, "sizing");
+  s = own;
+  s.rule_text = "f1 <= 4";
+  expect_rejected(s, "rule");
+  s = own;
+  s.record_K -= 1;
+  expect_rejected(s, "K");
+  s = own;
+  s.record_theta += 1;
+  expect_rejected(s, "theta");
+  s = own;
+  s.delta /= 2;
+  expect_rejected(s, "delta");
+  // And the snapshot must pass Restore's validation.
+  s = own;
+  s.records[1].id = s.records[0].id;
+  expect_rejected(s, "duplicate record ids");
+  s = own;
+  s.tombstones = {s.records[0].id};
+  expect_rejected(s, "tombstone of a stored id");
+
+  // The matching configuration still merges.
+  Result<uint64_t> merged = follower.value()->MergeSnapshotRecords(own);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.value(), 2u);
+  EXPECT_EQ(follower.value()->size(), 3u);
 }
 
 }  // namespace

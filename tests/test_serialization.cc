@@ -7,6 +7,7 @@
 
 #include "src/common/crc32.h"
 #include "src/common/random.h"
+#include "tests/snapshot_image.h"
 #include "tests/test_paths.h"
 
 namespace cbvlink {
@@ -128,16 +129,9 @@ TEST(SerializationTest, ServiceSnapshotRoundTrip) {
   snapshot.sizing_max_collisions = 2.0;
   snapshot.sizing_confidence_ratio = 0.25;
   snapshot.seed = 99;
-  snapshot.num_shards = 8;
-  snapshot.max_bucket_size = 128;
-  snapshot.overflow_policy = 1;
   for (RecordId id = 0; id < 10; ++id) {
     snapshot.records.push_back(MakeRecord(id, 40, id + 1));
   }
-  snapshot.buckets = {
-      {0, 0x1234, false, {1, 2, 3}},
-      {2, 0xffff, true, {7}},
-  };
 
   std::stringstream stream;
   ASSERT_TRUE(WriteServiceSnapshot(snapshot, stream).ok());
@@ -159,18 +153,61 @@ TEST(SerializationTest, ServiceSnapshotRoundTrip) {
   EXPECT_DOUBLE_EQ(got.sizing_max_collisions, 2.0);
   EXPECT_DOUBLE_EQ(got.sizing_confidence_ratio, 0.25);
   EXPECT_EQ(got.seed, 99u);
-  EXPECT_EQ(got.num_shards, 8u);
-  EXPECT_EQ(got.max_bucket_size, 128u);
-  EXPECT_EQ(got.overflow_policy, 1u);
   ASSERT_EQ(got.records.size(), 10u);
   for (size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(got.records[i].bits, snapshot.records[i].bits);
   }
-  ASSERT_EQ(got.buckets.size(), 2u);
-  EXPECT_EQ(got.buckets[1].group, 2u);
-  EXPECT_EQ(got.buckets[1].key, 0xffffu);
-  EXPECT_TRUE(got.buckets[1].overflowed);
-  EXPECT_EQ(got.buckets[1].ids, (std::vector<RecordId>{7}));
+}
+
+TEST(SerializationTest, SnapshotWriterFillsLegacySlotsWithConstants) {
+  // The version-3 layout keeps its legacy slots byte for byte, so files
+  // from either side of their retirement restore on both.
+  ServiceSnapshot snapshot;
+  snapshot.attributes = {{"f1", "ABC_", 2, true}};
+  snapshot.expected_qgrams = {4.0};
+  snapshot.rule_text = "f1 <= 4";
+  snapshot.records.push_back(MakeRecord(1, 16, 5));
+  snapshot.tombstones = {2, 3};
+  snapshot.last_sequence = 9;
+  const std::string image = WriterImage(snapshot);
+  const auto le = [&image](size_t offset, size_t bytes) {
+    uint64_t v = 0;
+    for (size_t i = 0; i < bytes; ++i) {
+      v |= uint64_t{static_cast<unsigned char>(image[offset + i])} << (8 * i);
+    }
+    return v;
+  };
+  EXPECT_EQ(le(kSnapshotVersionOffset, 4), 3u);
+  EXPECT_EQ(le(kSnapshotShardsOffset, 8), 16u);
+  EXPECT_EQ(le(kSnapshotBucketCapOffset, 8), 0u);
+  EXPECT_EQ(le(kSnapshotPolicyOffset, 4), 0u);
+  const size_t count_at = BucketCountOffset(image, snapshot);
+  EXPECT_EQ(le(count_at, 8), 0u);
+  EXPECT_EQ(le(count_at + 8, 8), 9u);   // sequence floor
+  EXPECT_EQ(le(count_at + 16, 8), 2u);  // tombstone count
+}
+
+TEST(SerializationTest, LegacyBucketBlockIsReadAndDiscarded) {
+  ServiceSnapshot snapshot;
+  snapshot.attributes = {{"f1", "ABC_", 2, true}};
+  snapshot.expected_qgrams = {4.0};
+  snapshot.rule_text = "f1 <= 4";
+  for (RecordId id = 0; id < 4; ++id) {
+    snapshot.records.push_back(MakeRecord(id, 16, id + 1));
+  }
+  snapshot.tombstones = {9};
+  snapshot.last_sequence = 1;
+  // Tombstoned ids may linger in buckets.
+  const std::vector<LegacyBucket> buckets = {{0, 0x1234, false, {1, 2, 9}},
+                                             {2, 0xffff, true, {3}}};
+  Result<ServiceSnapshot> legacy = ReadImage(LegacyImage(snapshot, buckets));
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  Result<ServiceSnapshot> current = ReadImage(WriterImage(snapshot));
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  // Re-writing what was read drops the buckets and the legacy values:
+  // both images carry the same state.
+  EXPECT_EQ(WriterImage(legacy.value()), WriterImage(current.value()));
+  EXPECT_EQ(WriterImage(current.value()), WriterImage(snapshot));
 }
 
 TEST(SerializationTest, ServiceSnapshotForeignMagicRejected) {

@@ -17,6 +17,7 @@
 #include "src/datagen/generators.h"
 #include "src/datagen/perturbator.h"
 #include "src/telemetry/metrics.h"
+#include "tests/snapshot_image.h"
 #include "tests/test_paths.h"
 
 namespace cbvlink {
@@ -156,7 +157,6 @@ TEST(ServiceTest, FillTelemetryExportsGaugesAndFunnelCounters) {
 
   service.value()->FillTelemetry(&registry);
   EXPECT_EQ(registry.GetGauge("service_records")->Value(), 20.0);
-  EXPECT_GT(registry.GetGauge("service_shards")->Value(), 0.0);
   EXPECT_GT(registry.GetGauge("lsh_tables")->Value(), 0.0);
   // Per-table gauges exist for table 0 and the occupancy histogram
   // covers every bucket exactly once.
@@ -365,8 +365,9 @@ TEST(ServiceTest, SnapshotRestoreRoundTripIdenticalMatches) {
                         IdPair{90000u, 90001u}) != out.end());
 }
 
-// A decoded-but-inconsistent snapshot must be rejected by Restore's
-// semantic validation, not acted on.
+// An inconsistent snapshot must be rejected, not acted on: by Restore's
+// semantic validation, or for the legacy slots (serialization.h) by the
+// reader, on an image patched and resealed with a valid CRC.
 class RestoreValidationTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -381,6 +382,12 @@ class RestoreValidationTest : public ::testing::Test {
     snapshot_ = service.value()->ExportSnapshot();
     ASSERT_TRUE(LinkageService::Restore(snapshot_).ok())
         << "baseline snapshot must restore before mutation";
+    buckets_ = {{0, 0x1234, false, {snapshot_.records[0].id}},
+                {1, 0x5678, true, {snapshot_.records[1].id}}};
+    legacy_ = LegacyImage(snapshot_, buckets_);
+    Result<ServiceSnapshot> baseline = ReadImage(legacy_);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    ASSERT_TRUE(LinkageService::Restore(baseline.value()).ok());
   }
 
   void ExpectRejected(const char* what) {
@@ -388,13 +395,28 @@ class RestoreValidationTest : public ::testing::Test {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what;
   }
 
+  /// Patches `bytes` little-endian bytes of the legacy image at `offset`,
+  /// reseals its CRC, and expects the reader to reject it.
+  void ExpectPatchRejected(size_t offset, uint64_t value, size_t bytes,
+                           const char* what) {
+    std::string image = legacy_;
+    PatchLe(&image, offset, value, bytes);
+    ResealCrc(&image);
+    EXPECT_EQ(ReadImage(image).status().code(), StatusCode::kInvalidArgument)
+        << what;
+  }
+
   ServiceSnapshot snapshot_;
+  std::vector<LegacyBucket> buckets_;
+  /// snapshot_ as a legacy image: shards 8, cap 128, policy 1, buckets_.
+  std::string legacy_;
 };
 
 TEST_F(RestoreValidationTest, DanglingBucketIdRejected) {
-  ASSERT_FALSE(snapshot_.buckets.empty());
-  snapshot_.buckets[0].ids.push_back(999999);
-  ExpectRejected("bucket id not in stored records");
+  buckets_[0].ids.push_back(999999);
+  EXPECT_EQ(ReadImage(LegacyImage(snapshot_, buckets_)).status().code(),
+            StatusCode::kInvalidArgument)
+      << "bucket id not in stored records";
 }
 
 TEST_F(RestoreValidationTest, DuplicateRecordIdsRejected) {
@@ -404,13 +426,12 @@ TEST_F(RestoreValidationTest, DuplicateRecordIdsRejected) {
 }
 
 TEST_F(RestoreValidationTest, ZeroShardsRejected) {
-  snapshot_.num_shards = 0;
-  ExpectRejected("num_shards == 0");
+  ExpectPatchRejected(kSnapshotShardsOffset, 0, 8, "num_shards == 0");
 }
 
 TEST_F(RestoreValidationTest, NonPowerOfTwoShardsRejected) {
-  snapshot_.num_shards = 6;
-  ExpectRejected("num_shards not a power of two");
+  ExpectPatchRejected(kSnapshotShardsOffset, 6, 8,
+                      "num_shards not a power of two");
 }
 
 TEST_F(RestoreValidationTest, NonFiniteDeltaRejected) {
@@ -430,8 +451,7 @@ TEST_F(RestoreValidationTest, BadExpectedQgramsRejected) {
 }
 
 TEST_F(RestoreValidationTest, UnknownOverflowPolicyRejected) {
-  snapshot_.overflow_policy = 7;
-  ExpectRejected("unknown overflow policy");
+  ExpectPatchRejected(kSnapshotPolicyOffset, 7, 4, "unknown overflow policy");
 }
 
 TEST_F(RestoreValidationTest, RecordWidthMismatchRejected) {
