@@ -3,19 +3,20 @@
 // pharmacy records then arrive one at a time and are matched in real
 // time against the registry using the compact 120-bit embeddings.
 //
-// Demonstrates the streaming API (OnlineCbvHbLinker), per-event matching
+// Demonstrates the streaming API (LinkageService), per-event matching
 // latency, and why small embeddings matter in distributed settings
 // (bytes shipped per record).
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "src/common/stopwatch.h"
 #include "src/datagen/dataset.h"
 #include "src/datagen/generators.h"
 #include "src/eval/measures.h"
-#include "src/linkage/online_linker.h"
+#include "src/service/linkage_service.h"
 
 using namespace cbvlink;
 
@@ -38,9 +39,9 @@ int main() {
     return 1;
   }
 
-  // One-time setup: the online linker estimates b^(f_i) from the
-  // registry, sizes the c-vectors with Theorem 1, and builds the HB
-  // blocking groups (Equation 2).
+  // One-time setup: the service estimates b^(f_i) from the registry,
+  // sizes the c-vectors with Theorem 1, and builds the HB blocking
+  // groups (Equation 2).
   CbvHbConfig config;
   config.schema = generator.value().schema();
   config.rule = Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4),
@@ -48,26 +49,24 @@ int main() {
   config.record_K = 30;
   config.record_theta = 4;
   config.seed = 23;
-  Result<OnlineCbvHbLinker> linker =
-      OnlineCbvHbLinker::Create(std::move(config), data.value().a);
-  if (!linker.ok()) {
-    std::fprintf(stderr, "%s\n", linker.status().ToString().c_str());
+  Result<std::unique_ptr<LinkageService>> created =
+      LinkageService::Create(std::move(config), {}, data.value().a);
+  if (!created.ok()) {
+    std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
     return 1;
   }
+  LinkageService& service = *created.value();
 
   Stopwatch setup;
-  for (const Record& patient : data.value().a) {
-    const Status status = linker.value().Insert(patient);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+  const Status indexed = service.InsertBatch(data.value().a);
+  if (!indexed.ok()) {
+    std::fprintf(stderr, "%s\n", indexed.ToString().c_str());
+    return 1;
   }
   std::printf("Registry indexed: %zu patients in %.2f s "
               "(%zu bits/record on the wire, L = %zu groups)\n",
-              linker.value().size(), setup.ElapsedSeconds(),
-              linker.value().encoder().total_bits(),
-              linker.value().blocking_groups());
+              service.size(), setup.ElapsedSeconds(),
+              service.encoder().total_bits(), service.blocking_groups());
 
   // The stream: match each pharmacy event as it arrives.
   std::vector<IdPair> alerts;
@@ -75,7 +74,7 @@ int main() {
   double worst_ms = 0.0;
   for (const Record& event : data.value().b) {
     Stopwatch one;
-    const Status status = linker.value().Match(event, &alerts);
+    const Status status = service.Match(event, &alerts);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
@@ -84,9 +83,10 @@ int main() {
   }
   const double total_s = stream.ElapsedSeconds();
 
+  const uint64_t comparisons = service.metrics().comparisons;
   const PairSet truth = TruthPairs(data.value().truth);
   const QualityMeasures q = ComputeQuality(
-      alerts, truth, linker.value().stats().comparisons,
+      alerts, truth, comparisons,
       data.value().a.size(), data.value().b.size());
 
   std::printf("\nStream processed: %zu events in %.2f s "
@@ -96,8 +96,7 @@ int main() {
   std::printf("Alerts raised: %zu (recall %.3f, candidate comparisons "
               "%llu of %.0f possible)\n",
               alerts.size(), q.pairs_completeness,
-              static_cast<unsigned long long>(
-                  linker.value().stats().comparisons),
+              static_cast<unsigned long long>(comparisons),
               static_cast<double>(data.value().a.size()) *
                   static_cast<double>(data.value().b.size()));
   return 0;

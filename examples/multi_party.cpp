@@ -42,7 +42,7 @@ int main() {
   std::printf("3 registries x %zu records (2000 shared patients each)\n",
               hospitals[0].size());
 
-  MultiPartyConfig config;
+  CbvHbConfig config;
   config.schema = generator.value().schema();
   // Each side of a cross-registry pair carries one typo, so distances
   // can reach 2 edits per attribute: budget 8 bits (alpha = 4).

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 
-#include "src/blocking/attribute_blocker.h"
-#include "src/blocking/record_blocker.h"
 #include "src/common/stopwatch.h"
 #include "src/common/str.h"
 #include "src/common/thread_pool.h"
 
 namespace cbvlink {
 
-Result<CbvHbLinker> CbvHbLinker::Create(CbvHbConfig config) {
+Status ValidateCbvHbConfig(const CbvHbConfig& config) {
   if (config.schema.num_attributes() == 0) {
     return Status::InvalidArgument("schema has no attributes");
   }
@@ -26,6 +24,68 @@ Result<CbvHbLinker> CbvHbLinker::Create(CbvHbConfig config) {
       config.expected_qgrams.size() != config.schema.num_attributes()) {
     return Status::InvalidArgument("expected_qgrams size mismatch");
   }
+  return Status::OK();
+}
+
+const CandidateSource& CbvHbParts::source() const {
+  return std::visit(
+      [](const auto& b) -> const CandidateSource& { return b; }, blocker);
+}
+
+size_t CbvHbParts::blocking_groups() const {
+  if (const auto* record = std::get_if<RecordLevelBlocker>(&blocker)) {
+    return record->L();
+  }
+  const auto& attribute = std::get<AttributeLevelBlocker>(blocker);
+  size_t groups = 0;
+  for (size_t s = 0; s < attribute.num_structures(); ++s) {
+    groups += attribute.structure_L(s);
+  }
+  return groups;
+}
+
+void CbvHbParts::Insert(const EncodedRecord& record) {
+  std::visit([&](auto& b) { b.Insert(record); }, blocker);
+}
+
+void CbvHbParts::BulkInsert(std::span<const EncodedRecord> records,
+                            ThreadPool* pool, size_t min_chunk) {
+  std::visit([&](auto& b) { b.BulkInsert(records, pool, min_chunk); },
+             blocker);
+}
+
+Result<CbvHbParts> BuildCbvHbParts(const CbvHbConfig& config,
+                                   const std::vector<double>& expected_qgrams,
+                                   Rng& rng) {
+  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
+  // The draw order — encoder, then the blocker's LSH families — is part
+  // of what a seed means: LinkageService::Restore rebuilds a service's
+  // encoder and blocking keys from the persisted seed alone.
+  Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
+      config.schema, expected_qgrams, rng, config.sizing);
+  if (!encoder.ok()) return encoder.status();
+  const RecordLayout& layout = encoder.value().layout();
+  PairClassifier classifier = MakeRuleClassifier(config.rule, layout);
+  if (config.attribute_level_blocking) {
+    AttributeBlockerOptions options;
+    options.attribute_K = config.attribute_K;
+    options.delta = config.delta;
+    Result<AttributeLevelBlocker> blocker =
+        AttributeLevelBlocker::Create(config.rule, layout, options, rng);
+    if (!blocker.ok()) return blocker.status();
+    return CbvHbParts{std::move(encoder).value(), std::move(blocker).value(),
+                      std::move(classifier)};
+  }
+  Result<RecordLevelBlocker> blocker =
+      RecordLevelBlocker::Create(encoder.value().total_bits(), config.record_K,
+                                 config.record_theta, config.delta, rng);
+  if (!blocker.ok()) return blocker.status();
+  return CbvHbParts{std::move(encoder).value(), std::move(blocker).value(),
+                    std::move(classifier)};
+}
+
+Result<CbvHbLinker> CbvHbLinker::Create(CbvHbConfig config) {
+  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
   return CbvHbLinker(std::move(config));
 }
 
@@ -62,10 +122,11 @@ Result<LinkageResult> CbvHbLinker::Link(const std::vector<Record>& a,
     expected = EstimateExpectedQGrams(config_.schema, sample);
   }
 
-  Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
-      config_.schema, expected, rng, config_.sizing);
-  if (!encoder.ok()) return encoder.status();
-  encoder_.emplace(std::move(encoder).value());
+  Result<CbvHbParts> built = BuildCbvHbParts(config_, expected, rng);
+  if (!built.ok()) return built.status();
+  CbvHbParts& parts = built.value();
+  // The linker keeps the encoder for encoder() introspection.
+  encoder_.emplace(std::move(parts.encoder));
 
   // Embedding is embarrassingly parallel over records; EncodeAll shards
   // both data sets over the context's pool (byte-identical to serial).
@@ -81,47 +142,17 @@ Result<LinkageResult> CbvHbLinker::Link(const std::vector<Record>& a,
 
   // --- Blocking ----------------------------------------------------------
   watch.Restart();
-  std::optional<RecordLevelBlocker> record_blocker;
-  std::optional<AttributeLevelBlocker> attribute_blocker;
-  const CandidateSource* source = nullptr;
-
-  if (config_.attribute_level_blocking) {
-    AttributeBlockerOptions options;
-    options.attribute_K = config_.attribute_K;
-    options.delta = config_.delta;
-    Result<AttributeLevelBlocker> blocker = AttributeLevelBlocker::Create(
-        config_.rule, encoder_->layout(), options, rng);
-    if (!blocker.ok()) return blocker.status();
-    attribute_blocker.emplace(std::move(blocker).value());
-    attribute_blocker->BulkInsert(encoded_a, ctx.pool(),
-                                  ctx.chunk_size_hint());
-    for (size_t s = 0; s < attribute_blocker->num_structures(); ++s) {
-      result.blocking_groups += attribute_blocker->structure_L(s);
-    }
-    source = &*attribute_blocker;
-  } else {
-    Result<RecordLevelBlocker> blocker =
-        RecordLevelBlocker::Create(encoder_->total_bits(), config_.record_K,
-                                   config_.record_theta, config_.delta, rng);
-    if (!blocker.ok()) return blocker.status();
-    record_blocker.emplace(std::move(blocker).value());
-    record_blocker->BulkInsert(encoded_a, ctx.pool(),
-                               ctx.chunk_size_hint());
-    result.blocking_groups = record_blocker->L();
-    source = &*record_blocker;
-  }
-
+  parts.BulkInsert(encoded_a, ctx.pool(), ctx.chunk_size_hint());
+  result.blocking_groups = parts.blocking_groups();
   VectorStore store_a;
   store_a.AddAll(encoded_a);
   result.index_seconds = watch.ElapsedSeconds();
 
   // --- Matching (Algorithm 2) --------------------------------------------
   watch.Restart();
-  Matcher matcher(source, &store_a);
-  const PairClassifier classifier =
-      MakeRuleClassifier(config_.rule, encoder_->layout());
+  Matcher matcher(&parts.source(), &store_a);
   result.matches =
-      matcher.MatchAll(encoded_b, classifier, &result.stats, ctx.pool());
+      matcher.MatchAll(encoded_b, parts.classifier, &result.stats, ctx.pool());
   result.match_seconds = watch.ElapsedSeconds();
   return result;
 }

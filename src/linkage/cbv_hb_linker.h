@@ -10,8 +10,14 @@
 #define CBVLINK_LINKAGE_CBV_HB_LINKER_H_
 
 #include <optional>
+#include <span>
+#include <variant>
 #include <vector>
 
+#include "src/blocking/attribute_blocker.h"
+#include "src/blocking/matcher.h"
+#include "src/blocking/record_blocker.h"
+#include "src/common/random.h"
 #include "src/embedding/optimal_size.h"
 #include "src/embedding/record_encoder.h"
 #include "src/linkage/linker.h"
@@ -50,10 +56,46 @@ struct CbvHbConfig {
   uint64_t seed = 7;
 };
 
+/// OK when `config` describes a runnable cBV-HB engine: a non-empty
+/// schema, a rule valid for it, one K per attribute in attribute-level
+/// mode, and expected_qgrams either empty or one per attribute.
+Status ValidateCbvHbConfig(const CbvHbConfig& config);
+
+/// The cBV-HB engine drawn from one configuration: the Theorem 1 encoder,
+/// exactly one (empty) blocker — record-level HB (Section 4.2) or the
+/// rule-aware attribute-level structures (Section 5.4) — and the rule
+/// classifier.
+struct CbvHbParts {
+  CVectorRecordEncoder encoder;
+  std::variant<RecordLevelBlocker, AttributeLevelBlocker> blocker;
+  PairClassifier classifier;
+
+  /// The blocker as the Matcher's candidate source.
+  const CandidateSource& source() const;
+  /// Blocking groups behind the blocker, summed over the structures at
+  /// attribute level.
+  size_t blocking_groups() const;
+  /// Indexes one record into the blocker.
+  void Insert(const EncodedRecord& record);
+  /// Indexes `records` in order; the tables are identical at any thread
+  /// count (see RecordLevelBlocker::BulkInsert).
+  void BulkInsert(std::span<const EncodedRecord> records,
+                  ThreadPool* pool = nullptr, size_t min_chunk = 0);
+};
+
+/// Validates `config`, then draws the encoder (sized for
+/// `expected_qgrams`) and the blocker's LSH families from `rng`, in that
+/// order.  Every cBV-HB engine — batch, dedup, multi-party, service —
+/// is built here, so the same seed always yields the same encoder and
+/// blocking keys.
+Result<CbvHbParts> BuildCbvHbParts(const CbvHbConfig& config,
+                                   const std::vector<double>& expected_qgrams,
+                                   Rng& rng);
+
 /// The cBV-HB linker.
 class CbvHbLinker : public Linker {
  public:
-  /// Validates the configuration.
+  /// Validates the configuration (ValidateCbvHbConfig).
   static Result<CbvHbLinker> Create(CbvHbConfig config);
 
   std::string_view name() const override { return "cBV-HB"; }

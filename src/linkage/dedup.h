@@ -33,7 +33,9 @@ struct DedupResult {
 /// Finds duplicate records within one data set.  `config` supplies the
 /// schema, rule, and blocking parameters exactly as for cross-set
 /// linkage (record-level blocking; config.attribute_level_blocking is
-/// honored too).  Record ids must be unique.
+/// honored too).  Record ids must be unique: InvalidArgument names the
+/// first repeated id.  When config.expected_qgrams is empty they are
+/// estimated from all of `records`.
 Result<DedupResult> FindDuplicates(const std::vector<Record>& records,
                                    const CbvHbConfig& config);
 

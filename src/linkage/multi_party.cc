@@ -1,6 +1,7 @@
 #include "src/linkage/multi_party.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <unordered_set>
 
 #include "src/common/str.h"
 
@@ -8,11 +9,14 @@ namespace cbvlink {
 
 namespace {
 
+/// Record ids keep the low 48 bits of a global id; the party takes the
+/// high 16.
+constexpr uint64_t kLocalIdLimit = uint64_t{1} << 48;
+
 /// Packs (party, record-id) into one 64-bit key for the blocking tables.
-/// 16 bits of party leave 48 bits of record id — plenty for any realistic
-/// custodian count and set size.
+/// Link() has checked id < kLocalIdLimit, so the packing is lossless.
 uint64_t GlobalId(PartyId party, RecordId id) {
-  return (static_cast<uint64_t>(party) << 48) | (id & ((uint64_t{1} << 48) - 1));
+  return (static_cast<uint64_t>(party) << 48) | id;
 }
 
 PartyId PartyOf(uint64_t global_id) {
@@ -20,19 +24,18 @@ PartyId PartyOf(uint64_t global_id) {
 }
 
 RecordId LocalOf(uint64_t global_id) {
-  return global_id & ((uint64_t{1} << 48) - 1);
+  return global_id & (kLocalIdLimit - 1);
 }
 
 }  // namespace
 
-Result<MultiPartyLinker> MultiPartyLinker::Create(MultiPartyConfig config) {
-  if (config.schema.num_attributes() == 0) {
-    return Status::InvalidArgument("schema has no attributes");
+Result<MultiPartyLinker> MultiPartyLinker::Create(CbvHbConfig config) {
+  if (config.attribute_level_blocking) {
+    return Status::InvalidArgument(
+        "multi-party linkage indexes record-level HB blocking; "
+        "attribute-level structures are not supported");
   }
-  CBVLINK_RETURN_NOT_OK(config.rule.Validate(config.schema.num_attributes()));
-  if (config.record_K == 0) {
-    return Status::InvalidArgument("K must be positive");
-  }
+  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
   return MultiPartyLinker(std::move(config));
 }
 
@@ -47,8 +50,18 @@ Result<MultiPartyResult> MultiPartyLinker::Link(
     if (parties[p].empty()) {
       return Status::InvalidArgument(StrFormat("party %zu is empty", p));
     }
-    if (parties[p].size() >= (uint64_t{1} << 48)) {
-      return Status::OutOfRange("party too large for 48-bit record ids");
+    std::unordered_set<RecordId> ids;
+    ids.reserve(parties[p].size());
+    for (const Record& record : parties[p]) {
+      const auto id = static_cast<unsigned long long>(record.id);
+      if (record.id >= kLocalIdLimit) {
+        return Status::OutOfRange(StrFormat(
+            "party %zu record id %llu does not fit in 48 bits", p, id));
+      }
+      if (!ids.insert(record.id).second) {
+        return Status::InvalidArgument(
+            StrFormat("party %zu repeats record id %llu", p, id));
+      }
     }
   }
   if (parties.size() >= (uint64_t{1} << 16)) {
@@ -66,22 +79,15 @@ Result<MultiPartyResult> MultiPartyLinker::Link(
     for (size_t i = 0; i < n; ++i) sample.push_back(parties[0][i]);
     expected = EstimateExpectedQGrams(config_.schema, sample);
   }
-  Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
-      config_.schema, expected, rng, config_.sizing);
-  if (!encoder.ok()) return encoder.status();
-
-  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
-      encoder.value().total_bits(), config_.record_K, config_.record_theta,
-      config_.delta, rng);
-  if (!blocker.ok()) return blocker.status();
+  Result<CbvHbParts> built = BuildCbvHbParts(config_, expected, rng);
+  if (!built.ok()) return built.status();
+  CbvHbParts& parts = built.value();
 
   MultiPartyResult result;
-  result.blocking_groups = blocker.value().L();
+  result.blocking_groups = parts.blocking_groups();
 
   VectorStore store;
-  Matcher matcher(&blocker.value(), &store);
-  const PairClassifier classifier =
-      MakeRuleClassifier(config_.rule, encoder.value().layout());
+  const Matcher matcher(&parts.source(), &store);
 
   // Incremental pass: probe each party against everything indexed so far,
   // then index it.  Every cross-party pair is considered exactly once.
@@ -89,7 +95,7 @@ Result<MultiPartyResult> MultiPartyLinker::Link(
     std::vector<EncodedRecord> encoded;
     encoded.reserve(parties[p].size());
     for (const Record& record : parties[p]) {
-      Result<EncodedRecord> enc = encoder.value().Encode(record);
+      Result<EncodedRecord> enc = parts.encoder.Encode(record);
       if (!enc.ok()) return enc.status();
       EncodedRecord tagged = std::move(enc).value();
       tagged.id = GlobalId(p, record.id);
@@ -98,7 +104,7 @@ Result<MultiPartyResult> MultiPartyLinker::Link(
     if (p > 0) {
       std::vector<IdPair> found;
       for (const EncodedRecord& probe : encoded) {
-        matcher.MatchOne(probe, classifier, &found, &result.stats);
+        matcher.MatchOne(probe, parts.classifier, &found, &result.stats);
       }
       for (const IdPair& pair : found) {
         // a_id is the earlier-indexed record; b_id the probing one.
@@ -106,7 +112,7 @@ Result<MultiPartyResult> MultiPartyLinker::Link(
             PartyOf(pair.a_id), LocalOf(pair.a_id), p, LocalOf(pair.b_id)});
       }
     }
-    blocker.value().Index(encoded);
+    parts.BulkInsert(encoded);
     store.AddAll(encoded);
   }
   return result;

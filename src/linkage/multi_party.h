@@ -10,16 +10,12 @@
 #ifndef CBVLINK_LINKAGE_MULTI_PARTY_H_
 #define CBVLINK_LINKAGE_MULTI_PARTY_H_
 
-#include <optional>
 #include <vector>
 
 #include "src/blocking/matcher.h"
-#include "src/blocking/record_blocker.h"
 #include "src/common/record.h"
 #include "src/common/status.h"
-#include "src/embedding/record_encoder.h"
-#include "src/linkage/linker.h"
-#include "src/rules/rule.h"
+#include "src/linkage/cbv_hb_linker.h"
 
 namespace cbvlink {
 
@@ -36,23 +32,6 @@ struct MultiPartyMatch {
   bool operator==(const MultiPartyMatch&) const = default;
 };
 
-/// Configuration for multi-party linkage; parameters mirror CbvHbConfig's
-/// record-level mode.
-struct MultiPartyConfig {
-  Schema schema;
-  /// Classification rule on attribute-level Hamming distances.
-  Rule rule = Rule::Pred(0, 0);
-  size_t record_K = 30;
-  size_t record_theta = 4;
-  double delta = 0.1;
-  OptimalSizeOptions sizing;
-  /// Expected q-grams per attribute; estimated from the first party's
-  /// records when empty.
-  std::vector<double> expected_qgrams;
-  size_t estimation_sample = 1000;
-  uint64_t seed = 19;
-};
-
 /// Result of a multi-party run.
 struct MultiPartyResult {
   std::vector<MultiPartyMatch> matches;
@@ -63,20 +42,24 @@ struct MultiPartyResult {
 /// Links any number of record sets pairwise in a single pass.
 class MultiPartyLinker {
  public:
-  /// Validates the configuration.
-  static Result<MultiPartyLinker> Create(MultiPartyConfig config);
+  /// Validates the configuration (ValidateCbvHbConfig).  Blocking is
+  /// record-level HB: attribute-level blocking is rejected.  When
+  /// config.expected_qgrams is empty, Link estimates them from the first
+  /// config.estimation_sample records of the first party.
+  static Result<MultiPartyLinker> Create(CbvHbConfig config);
 
-  /// Links all parties.  Record ids must be unique *within* a party; the
-  /// (party, id) pair identifies a record globally.  Requires >= 2
-  /// parties, each non-empty.
+  /// Links all parties.  Requires >= 2 parties, each non-empty.  Record
+  /// ids must be unique *within* a party (InvalidArgument otherwise) and
+  /// below 2^48 (OutOfRange otherwise); the (party, id) pair identifies
+  /// a record globally.
   Result<MultiPartyResult> Link(
       const std::vector<std::vector<Record>>& parties);
 
  private:
-  explicit MultiPartyLinker(MultiPartyConfig config)
+  explicit MultiPartyLinker(CbvHbConfig config)
       : config_(std::move(config)) {}
 
-  MultiPartyConfig config_;
+  CbvHbConfig config_;
 };
 
 }  // namespace cbvlink

@@ -172,12 +172,7 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Create(
         "LinkageService indexes record-level HB blocking; "
         "attribute-level structures are not supported");
   }
-  // Reuse the batch linker's validation rules.
-  {
-    CbvHbConfig copy = config;
-    Result<CbvHbLinker> check = CbvHbLinker::Create(std::move(copy));
-    if (!check.ok()) return check.status();
-  }
+  CBVLINK_RETURN_NOT_OK(ValidateCbvHbConfig(config));
   if (config.expected_qgrams.empty()) {
     if (calibration_sample.empty()) {
       return Status::InvalidArgument(
@@ -194,22 +189,19 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Create(
 }
 
 Status LinkageService::Init() {
-  // The RNG consumption order (encoder, then the blocker's LSH family)
-  // must stay fixed: Restore() depends on the seed reproducing both
-  // exactly, and the offline engine reproduces the service's blocking
-  // keys by drawing a RecordLevelBlocker in the same order.
+  // BuildCbvHbParts fixes the draw order, so Restore() and an offline
+  // engine with the same config reproduce this encoder and these
+  // blocking keys from the seed.
   Rng rng(config_.seed);
-  Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(
-      config_.schema, config_.expected_qgrams, rng, config_.sizing);
-  if (!encoder.ok()) return encoder.status();
-  encoder_.emplace(std::move(encoder).value());
-  Result<RecordLevelBlocker> blocker = RecordLevelBlocker::Create(
-      encoder_->total_bits(), config_.record_K, config_.record_theta,
-      config_.delta, rng);
-  if (!blocker.ok()) return blocker.status();
-  index_ = std::make_shared<IndexEpoch>(std::move(blocker).value());
+  Result<CbvHbParts> built =
+      BuildCbvHbParts(config_, config_.expected_qgrams, rng);
+  if (!built.ok()) return built.status();
+  CbvHbParts& parts = built.value();
+  encoder_.emplace(std::move(parts.encoder));
+  classifier_ = std::move(parts.classifier);
+  index_ = std::make_shared<IndexEpoch>(
+      std::get<RecordLevelBlocker>(std::move(parts.blocker)));
 
-  classifier_ = MakeRuleClassifier(config_.rule, encoder_->layout());
   const ExecutionOptions& exec = options_.execution;
   if (exec.pool != nullptr) {
     pool_ = exec.pool;

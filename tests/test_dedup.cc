@@ -133,5 +133,87 @@ TEST(DedupTest, PropagatesConfigErrors) {
   EXPECT_FALSE(FindDuplicates(records, config).ok());
 }
 
+TEST(DedupTest, RepeatedRecordIdIsRejected) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  Rng rng(6);
+  std::vector<Record> records;
+  for (RecordId id : {0u, 1u, 2u, 1u}) {
+    records.push_back(gen.value().Generate(id, rng));
+  }
+  Result<DedupResult> result =
+      FindDuplicates(records, DedupConfig(gen.value().schema()));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("record id 1 "),
+            std::string_view::npos)
+      << result.status().ToString();
+}
+
+TEST(DedupTest, IdenticalAtAnyThreadCount) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  Rng rng(7);
+  std::vector<Record> records;
+  for (size_t i = 0; i < 300; ++i) {
+    records.push_back(gen.value().Generate(i, rng));
+  }
+  // Plant typo-variants of the first 100 records.
+  for (RecordId id = 300; id < 400; ++id) {
+    Result<Record> dup = Perturbator::Apply(
+        records[id - 300], PerturbationScheme::Light(), rng, nullptr);
+    ASSERT_TRUE(dup.ok());
+    records.push_back(std::move(dup).value());
+    records.back().id = id;
+  }
+  const CbvHbConfig config = DedupConfig(gen.value().schema());
+  Result<DedupResult> serial =
+      FindDuplicates(records, config, ExecutionOptions::WithThreads(1));
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_FALSE(serial.value().duplicate_pairs.empty());
+  for (size_t threads : {2u, 8u}) {
+    Result<DedupResult> parallel = FindDuplicates(
+        records, config, ExecutionOptions::WithThreads(threads));
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_EQ(parallel.value().duplicate_pairs,
+              serial.value().duplicate_pairs)
+        << threads << " threads";
+    EXPECT_EQ(parallel.value().clusters, serial.value().clusters)
+        << threads << " threads";
+    const MatchStats& a = parallel.value().stats;
+    const MatchStats& b = serial.value().stats;
+    EXPECT_EQ(a.candidate_occurrences, b.candidate_occurrences);
+    EXPECT_EQ(a.comparisons, b.comparisons);
+    EXPECT_EQ(a.matches, b.matches);
+    EXPECT_EQ(a.dedup_skipped, b.dedup_skipped);
+    EXPECT_EQ(parallel.value().blocking_groups,
+              serial.value().blocking_groups);
+  }
+}
+
+TEST(DedupTest, AttributeLevelBlockingFindsDuplicates) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  CbvHbConfig config = DedupConfig(gen.value().schema());
+  config.attribute_level_blocking = true;
+  config.attribute_K = {5, 5, 10, 5};
+  config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+  Rng rng(9);
+  std::vector<Record> records;
+  for (size_t i = 0; i < 50; ++i) {
+    records.push_back(gen.value().Generate(i, rng));
+  }
+  Record copy = records[0];
+  copy.id = 77;
+  records.push_back(std::move(copy));
+
+  Result<DedupResult> result = FindDuplicates(records, config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result.value().blocking_groups, 0u);
+  const std::vector<IdPair>& pairs = result.value().duplicate_pairs;
+  EXPECT_NE(std::find(pairs.begin(), pairs.end(), IdPair{0, 77}),
+            pairs.end());
+}
+
 }  // namespace
 }  // namespace cbvlink

@@ -10,8 +10,8 @@
 namespace cbvlink {
 namespace {
 
-MultiPartyConfig MakeConfig(const Schema& schema) {
-  MultiPartyConfig config;
+CbvHbConfig MakeConfig(const Schema& schema) {
+  CbvHbConfig config;
   config.schema = schema;
   config.rule = Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4),
                            Rule::Pred(2, 4), Rule::Pred(3, 4)});
@@ -23,7 +23,7 @@ MultiPartyConfig MakeConfig(const Schema& schema) {
 
 TEST(MultiPartyLinkerTest, CreateValidation) {
   Schema empty;
-  EXPECT_FALSE(MultiPartyLinker::Create(MultiPartyConfig{}).ok());
+  EXPECT_FALSE(MultiPartyLinker::Create(CbvHbConfig{}).ok());
   (void)empty;
 }
 
@@ -145,6 +145,84 @@ TEST(MultiPartyLinkerTest, NoFalseCrossPartyPartyIds) {
     EXPECT_LT(m.id_a, 100u);
     EXPECT_LT(m.id_b, 100u);
   }
+}
+
+TEST(MultiPartyLinkerTest, RejectsAttributeLevelBlocking) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  CbvHbConfig config = MakeConfig(gen.value().schema());
+  config.attribute_level_blocking = true;
+  config.attribute_K = {5, 5, 10, 5};
+  Result<MultiPartyLinker> linker = MultiPartyLinker::Create(config);
+  ASSERT_FALSE(linker.ok());
+  EXPECT_EQ(linker.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Two parties holding the same record, under ids `id_a` and `id_b`.
+std::vector<std::vector<Record>> SharedRecord(const NcvrGenerator& gen,
+                                              RecordId id_a, RecordId id_b) {
+  Rng rng(8);
+  Record a = gen.Generate(0, rng);
+  Record b = a;
+  a.id = id_a;
+  b.id = id_b;
+  return {{a}, {b}};
+}
+
+TEST(MultiPartyLinkerTest, LargestRecordIdRoundTrips) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  CbvHbConfig config = MakeConfig(gen.value().schema());
+  config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+  Result<MultiPartyLinker> linker = MultiPartyLinker::Create(config);
+  ASSERT_TRUE(linker.ok());
+  const RecordId largest = (RecordId{1} << 48) - 1;
+  Result<MultiPartyResult> result =
+      linker.value().Link(SharedRecord(gen.value(), largest, 5));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result.value().matches.size(), 1u);
+  EXPECT_EQ(result.value().matches[0], (MultiPartyMatch{0, largest, 1, 5}));
+}
+
+TEST(MultiPartyLinkerTest, RejectsRecordIdsBeyond48Bits) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  CbvHbConfig config = MakeConfig(gen.value().schema());
+  config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+  Result<MultiPartyLinker> linker = MultiPartyLinker::Create(config);
+  ASSERT_TRUE(linker.ok());
+  const RecordId too_large = (RecordId{1} << 48) + 7;
+  for (const auto& [id_a, id_b] :
+       {std::pair<RecordId, RecordId>{too_large, 7},
+        std::pair<RecordId, RecordId>{7, too_large}}) {
+    Result<MultiPartyResult> result =
+        linker.value().Link(SharedRecord(gen.value(), id_a, id_b));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange)
+        << result.status().ToString();
+  }
+}
+
+TEST(MultiPartyLinkerTest, RejectsRepeatedIdWithinParty) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  CbvHbConfig config = MakeConfig(gen.value().schema());
+  config.expected_qgrams = {5.1, 5.0, 20.0, 7.2};
+  Result<MultiPartyLinker> linker = MultiPartyLinker::Create(config);
+  ASSERT_TRUE(linker.ok());
+  Rng rng(10);
+  std::vector<std::vector<Record>> parties(2);
+  for (size_t p = 0; p < 2; ++p) {
+    for (RecordId id : {1u, 2u}) {
+      parties[p].push_back(gen.value().Generate(id, rng));
+    }
+  }
+  parties[1][1].id = 1;
+  Result<MultiPartyResult> result = linker.value().Link(parties);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("party 1"), std::string_view::npos)
+      << result.status().ToString();
 }
 
 }  // namespace

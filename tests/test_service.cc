@@ -100,6 +100,45 @@ TEST(ServiceTest, InsertThenMatchFindsDuplicates) {
   EXPECT_GT(metrics.QueriesPerSecond(), 0.0);
 }
 
+TEST(ServiceTest, PropagatesConfigValidation) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  CbvHbConfig config = BaseConfig(gen.value().schema());
+  config.rule = Rule::Pred(9, 4);  // out of range
+  Result<std::unique_ptr<LinkageService>> service =
+      LinkageService::Create(std::move(config));
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(ServiceTest, MatchAndInsertChainsArrivals) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  Result<std::unique_ptr<LinkageService>> created =
+      LinkageService::Create(BaseConfig(gen.value().schema()));
+  ASSERT_TRUE(created.ok());
+  LinkageService& service = *created.value();
+  // Theorem 1 sizes the four NCVR attributes to Table 3's 120 bits.
+  EXPECT_EQ(service.encoder().total_bits(), 120u);
+
+  const Record first = GenerateRecords(gen.value(), 1, 3)[0];
+  std::vector<IdPair> out;
+  ASSERT_TRUE(service.Match(first, &out).ok());
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(service.size(), 0u);  // Match alone never inserts.
+
+  ASSERT_TRUE(service.MatchAndInsert(first, &out).ok());
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(service.size(), 1u);
+  // The same record arriving again now matches the first arrival.
+  Record again = first;
+  again.id = 55;
+  ASSERT_TRUE(service.MatchAndInsert(again, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], (IdPair{first.id, 55}));
+  EXPECT_EQ(service.size(), 2u);
+}
+
 TEST(ServiceTest, WallClockQpsUsesWallSpanNotCpuSeconds) {
   // With T batch workers, summed per-thread busy time is ~T times the
   // wall span; QueriesPerSecond() must divide by the latter.
