@@ -221,11 +221,11 @@ void AttributeLevelBlocker::Insert(const EncodedRecord& record) {
       }
     }
   }
-  indexed_.emplace(record.id, record.bits);
+  if (!trivial_membership()) indexed_.emplace(record.id, record.bits);
 }
 
 void AttributeLevelBlocker::Index(const std::vector<EncodedRecord>& records) {
-  indexed_.reserve(indexed_.size() + records.size());
+  if (!trivial_membership()) indexed_.reserve(indexed_.size() + records.size());
   for (const EncodedRecord& record : records) Insert(record);
 }
 
@@ -235,7 +235,9 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   telemetry::ScopedTimer timer(
       reg.GetHistogram("index_build_batch_latency_us"));
   if (pool == nullptr || pool->num_threads() <= 1 || records.size() <= 1) {
-    indexed_.reserve(indexed_.size() + records.size());
+    if (!trivial_membership()) {
+      indexed_.reserve(indexed_.size() + records.size());
+    }
     for (const EncodedRecord& record : records) Insert(record);
     reg.GetCounter("index_build_records_total")->Add(records.size());
     return;
@@ -297,9 +299,11 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
 
   // The retained vector map is filled serially (unordered_map is not
   // concurrent); identical contents either way since ids are the keys.
-  indexed_.reserve(indexed_.size() + records.size());
-  for (const EncodedRecord& record : records) {
-    indexed_.emplace(record.id, record.bits);
+  if (!trivial_membership()) {
+    indexed_.reserve(indexed_.size() + records.size());
+    for (const EncodedRecord& record : records) {
+      indexed_.emplace(record.id, record.bits);
+    }
   }
   reg.GetCounter("index_build_records_total")->Add(records.size());
 }
@@ -345,47 +349,53 @@ bool AttributeLevelBlocker::FormulatedByRule(const BitVector& a,
   return EvaluateExpr(expr_, a, b);
 }
 
-void AttributeLevelBlocker::ForEachCandidate(
-    const BitVector& probe, const std::function<void(RecordId)>& cb) const {
-  // When the rule lowered to a single structure, every generated candidate
-  // is formulated by construction — skip the membership re-check.
-  const bool trivial_membership = expr_.kind == Expr::Kind::kStructure;
-
-  std::unordered_set<RecordId> seen;
+void AttributeLevelBlocker::ForEachProbedBucket(
+    const BitVector& probe,
+    FunctionRef<void(std::span<const RecordId>)> cb) const {
   for (size_t si : generating_) {
     const Structure& s = structures_[si];
     for (size_t l = 0; l < s.L; ++l) {
       if (s.kind == Structure::Kind::kAnd) {
-        for (RecordId id : s.tables[l].Get(CompoundKey(s, probe, l))) {
-          if (!seen.insert(id).second) continue;
-          if (trivial_membership) {
-            cb(id);
-            continue;
-          }
-          const auto it = indexed_.find(id);
-          if (it != indexed_.end() &&
-              FormulatedByRule(it->second, probe)) {
-            cb(id);
-          }
-        }
+        const std::span<const RecordId> bucket =
+            s.tables[l].Get(CompoundKey(s, probe, l));
+        if (!bucket.empty()) cb(bucket);
       } else {
         for (size_t i = 0; i < s.predicates.size(); ++i) {
-          const uint64_t key = s.families[i].Key(probe, l);
-          for (RecordId id : s.tables[i * s.L + l].Get(key)) {
-            if (!seen.insert(id).second) continue;
-            if (trivial_membership) {
-              cb(id);
-              continue;
-            }
-            const auto it = indexed_.find(id);
-            if (it != indexed_.end() &&
-                FormulatedByRule(it->second, probe)) {
-              cb(id);
-            }
-          }
+          const std::span<const RecordId> bucket =
+              s.tables[i * s.L + l].Get(s.families[i].Key(probe, l));
+          if (!bucket.empty()) cb(bucket);
         }
       }
     }
+  }
+}
+
+void AttributeLevelBlocker::ForEachCandidate(
+    const BitVector& probe, const std::function<void(RecordId)>& cb) const {
+  const bool trivial = trivial_membership();
+  std::unordered_set<RecordId> seen;
+  ForEachProbedBucket(probe, [&](std::span<const RecordId> bucket) {
+    for (RecordId id : bucket) {
+      if (!seen.insert(id).second) continue;
+      if (trivial) {
+        cb(id);
+        continue;
+      }
+      const auto it = indexed_.find(id);
+      if (it != indexed_.end() && FormulatedByRule(it->second, probe)) {
+        cb(id);
+      }
+    }
+  });
+}
+
+void AttributeLevelBlocker::ForEachCandidateSpan(
+    const BitVector& probe,
+    FunctionRef<void(std::span<const RecordId>)> cb) const {
+  if (trivial_membership()) {
+    ForEachProbedBucket(probe, cb);
+  } else {
+    CandidateSource::ForEachCandidateSpan(probe, cb);
   }
 }
 

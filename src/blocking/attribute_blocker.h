@@ -21,6 +21,7 @@
 #ifndef CBVLINK_BLOCKING_ATTRIBUTE_BLOCKER_H_
 #define CBVLINK_BLOCKING_ATTRIBUTE_BLOCKER_H_
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -77,9 +78,21 @@ class AttributeLevelBlocker : public CandidateSource {
   /// Candidates of `probe`: Ids colliding with it in the generating
   /// structures and whose pair passes the structure-membership expression
   /// (pairs ruled out by a NOT or a missing conjunct are never emitted).
+  /// Each Id is emitted once.
   void ForEachCandidate(
       const BitVector& probe,
       const std::function<void(RecordId)>& cb) const override;
+
+  /// When the rule lowers to one structure (a predicate, or an AND / OR
+  /// of predicates, like the paper's C1), every colliding pair is formulated,
+  /// so each probed bucket goes to `cb` as one span over the table's
+  /// storage, duplicates across groups included; the matcher's unique
+  /// collection removes them.  Multi-structure rules (C2, C3) need the
+  /// per-pair membership check and take ForEachCandidate's filtered,
+  /// de-duplicated path, one Id per span.
+  void ForEachCandidateSpan(
+      const BitVector& probe,
+      FunctionRef<void(std::span<const RecordId>)> cb) const override;
 
   /// True iff the pair (a, b) is formulated according to the rule's
   /// blocking structures (Section 5.4 compound-rule semantics).
@@ -139,12 +152,26 @@ class AttributeLevelBlocker : public CandidateSource {
   bool EvaluateExpr(const Expr& expr, const BitVector& a,
                     const BitVector& b) const;
 
+  /// True when the rule lowered to a single structure: every generated
+  /// candidate is then formulated by construction, and the A vectors
+  /// need not be retained.
+  bool trivial_membership() const {
+    return expr_.kind == Expr::Kind::kStructure;
+  }
+
+  /// Invokes `cb` with each non-empty bucket `probe` hits in the
+  /// generating structures, in group order.
+  void ForEachProbedBucket(
+      const BitVector& probe,
+      FunctionRef<void(std::span<const RecordId>)> cb) const;
+
   Rule rule_;
   std::vector<Structure> structures_;
   Expr expr_;
   /// Structures probed for candidate generation.
   std::vector<size_t> generating_;
-  /// A-side vectors retained for membership evaluation.
+  /// A-side vectors retained for membership evaluation; filled only when
+  /// membership is non-trivial.
   std::unordered_map<RecordId, BitVector> indexed_;
 };
 

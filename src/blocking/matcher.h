@@ -16,6 +16,8 @@
 //  * The unique collection C is a generation-stamped visited array
 //    indexed by dense id: one epoch bump per probe, zero allocations in
 //    steady state (a per-probe std::unordered_set in the seed engine).
+//    It is the only de-duplication on the path for the record-level
+//    blocker and for single-structure attribute-level rules.
 //  * Candidates arrive as bucket spans (CandidateSource::
 //    ForEachCandidateSpan), so the engine pays one indirect call per
 //    blocking group instead of one std::function invocation per Id.

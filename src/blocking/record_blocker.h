@@ -41,13 +41,16 @@ class CandidateSource {
       const std::function<void(RecordId)>& cb) const = 0;
 
   /// Bucket-span variant of ForEachCandidate: invokes `cb` once per
-  /// candidate group with a view of that group's Ids, in the same order
-  /// ForEachCandidate would deliver them, so the matching engine iterates
-  /// raw bucket storage with one indirect call per *group* instead of one
-  /// std::function invocation per Id.  Spans are only valid for the
-  /// duration of the callback.  The default adapter wraps
-  /// ForEachCandidate with single-Id spans (exact same Ids and order);
-  /// sources whose buckets are contiguous in memory override it.
+  /// candidate group with a view of that group's Ids, so the matching
+  /// engine iterates raw bucket storage with one indirect call per
+  /// *group* instead of one std::function invocation per Id.  The
+  /// distinct Ids, in order of first occurrence, are those
+  /// ForEachCandidate delivers; repeats across groups may appear even
+  /// where ForEachCandidate removes them (the matcher de-duplicates).
+  /// Spans are only valid for the duration of the callback.  The default
+  /// adapter wraps ForEachCandidate with single-Id spans (exact same Ids
+  /// and order); sources whose buckets are contiguous in memory override
+  /// it.
   virtual void ForEachCandidateSpan(
       const BitVector& probe,
       FunctionRef<void(std::span<const RecordId>)> cb) const {

@@ -5,15 +5,24 @@
 // vectors themselves live with their owner.  The table also exposes bucket
 // statistics, which the evaluation uses to diagnose the "few overpopulated
 // buckets" failure mode of sparse q-gram vectors (Section 5.2).
+//
+// Layout (DESIGN.md §3): one open-addressing slot array maps each key to
+// a (begin, size, capacity) range of one contiguous Id arena.  A bulk
+// build into an empty table lays the arena out exactly — count the keys,
+// prefix-sum, fill — with no per-bucket allocation; streaming inserts
+// move a full bucket to the arena end at double its capacity.  Either
+// way a bucket's Ids stay in insertion order, and Get() is one hash probe
+// returning a span over the arena.  The slot array is sized by distinct
+// keys, never by record count.
 
 #ifndef CBVLINK_LSH_BLOCKING_TABLE_H_
 #define CBVLINK_LSH_BLOCKING_TABLE_H_
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/function_ref.h"
 #include "src/common/record.h"
 
 namespace cbvlink {
@@ -24,12 +33,7 @@ class BlockingTable {
   BlockingTable() = default;
 
   /// Appends `id` to the bucket for `key`.
-  void Insert(uint64_t key, RecordId id) {
-    std::vector<RecordId>& bucket = buckets_[key];
-    bucket.push_back(id);
-    ++num_entries_;
-    if (bucket.size() > max_bucket_size_) max_bucket_size_ = bucket.size();
-  }
+  void Insert(uint64_t key, RecordId id);
 
   /// Bulk merge primitive for the two-phase parallel index build:
   /// inserts ids[i] under keys[i * key_stride] for i in [0, ids.size()),
@@ -37,23 +41,23 @@ class BlockingTable {
   /// order, same counters).  The strided layout lets callers that
   /// compute an L-wide key matrix in parallel (keys[i * L + l]) merge
   /// table l's column — base pointer keys + l, stride L — without
-  /// copying.
+  /// copying.  Into an empty table the arena is laid out exactly.
   void BulkInsert(const uint64_t* keys, size_t key_stride,
-                  std::span<const RecordId> ids) {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      Insert(keys[i * key_stride], ids[i]);
+                  std::span<const RecordId> ids);
+
+  /// The bucket for `key`; empty when no record hashed there.  Valid
+  /// until the next mutation of the table.
+  std::span<const RecordId> Get(uint64_t key) const {
+    if (slots_.empty()) return {};
+    for (size_t pos = Home(key);; pos = (pos + 1) & slot_mask_) {
+      const Slot& slot = slots_[pos];
+      if (slot.size == 0) return {};
+      if (slot.key == key) return {ids_.data() + slot.begin, slot.size};
     }
   }
 
-  /// The bucket for `key`; empty when no record hashed there.
-  std::span<const RecordId> Get(uint64_t key) const {
-    const auto it = buckets_.find(key);
-    if (it == buckets_.end()) return {};
-    return it->second;
-  }
-
   /// Number of non-empty buckets.
-  size_t NumBuckets() const { return buckets_.size(); }
+  size_t NumBuckets() const { return num_buckets_; }
 
   /// Total stored Ids across buckets.  O(1): maintained incrementally by
   /// Insert/Erase, so per-record diagnostics stay cheap on hot paths.
@@ -68,10 +72,9 @@ class BlockingTable {
   /// spread records near-uniformly, so a mean far below the max flags
   /// the Section 5.2 "few overpopulated buckets" skew.
   double MeanBucketSize() const {
-    return buckets_.empty()
-               ? 0
-               : static_cast<double>(num_entries_) /
-                     static_cast<double>(buckets_.size());
+    return num_buckets_ == 0 ? 0
+                             : static_cast<double>(num_entries_) /
+                                   static_cast<double>(num_buckets_);
   }
 
   /// Log2 bucket-occupancy histogram: slot i counts buckets whose size
@@ -81,24 +84,58 @@ class BlockingTable {
   /// telemetry layer.
   std::vector<uint64_t> OccupancyHistogram(size_t slots = 16) const;
 
-  /// Removes every bucket.
-  void Clear() {
-    buckets_.clear();
-    num_entries_ = 0;
-    max_bucket_size_ = 0;
-  }
+  /// Removes every bucket and releases the storage.
+  void Clear();
 
-  /// Removes `id` from every bucket it appears in (linear scan; used by
-  /// HARRA's iterative early-pruning, which operates one table at a time).
+  /// Removes `id` from every bucket it appears in (a linear scan over
+  /// the whole table; kept as the reference removal the model-based test
+  /// pins against a multimap).
   void Erase(RecordId id);
 
-  /// Iteration over buckets (key, ids).
-  const std::unordered_map<uint64_t, std::vector<RecordId>>& buckets() const {
-    return buckets_;
-  }
+  /// Invokes `fn(key, ids)` once per non-empty bucket, in unspecified
+  /// bucket order; `ids` is in insertion order.
+  void ForEachBucket(
+      FunctionRef<void(uint64_t, std::span<const RecordId>)> fn) const;
+
+  /// Same keys with the same per-bucket id order, whatever the layout
+  /// (slot order and arena placement are not compared).
+  friend bool operator==(const BlockingTable& x, const BlockingTable& y);
 
  private:
-  std::unordered_map<uint64_t, std::vector<RecordId>> buckets_;
+  /// One open-addressing slot; size == 0 marks an empty slot (a live
+  /// bucket always holds at least one Id).  The bucket's Ids are
+  /// ids_[begin, begin + size), with room up to begin + capacity.
+  struct Slot {
+    uint64_t key = 0;
+    uint64_t begin = 0;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+  };
+
+  /// Fibonacci hashing: keys are LSH outputs, usually already mixed, so
+  /// one multiply spreads any residual structure over the top bits.
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> slot_shift_);
+  }
+
+  /// The slot holding `key`, or the empty slot where it would go.
+  /// Requires a non-empty slot array.
+  Slot& Probe(uint64_t key);
+
+  /// The slot for `key`, claiming an empty one (size still 0) when the
+  /// key is new.  Grows the slot array to keep the load at or below 3/4.
+  Slot& FindOrClaim(uint64_t key);
+
+  /// Re-seats every live slot into a fresh array of `num_slots` (a power
+  /// of two); the arena is untouched.
+  void Rehash(size_t num_slots);
+
+  std::vector<Slot> slots_;
+  size_t slot_mask_ = 0;
+  int slot_shift_ = 64;
+  /// The Id arena every bucket's range points into.
+  std::vector<RecordId> ids_;
+  size_t num_buckets_ = 0;
   size_t num_entries_ = 0;
   size_t max_bucket_size_ = 0;
 };

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "src/blocking/matcher.h"
 #include "src/common/thread_pool.h"
 
 namespace cbvlink {
@@ -250,6 +251,120 @@ TEST(AttributeLevelBlockerTest, IndexRetainsVectorsForMembership) {
   blocker.Index(records);
   EXPECT_TRUE(Candidates(blocker, BaseVector()).contains(1));
   EXPECT_TRUE(Candidates(blocker, BaseVector()).contains(2));
+}
+
+// --- Span path: a single-structure rule hands its buckets to the matcher
+// as spans; a multi-structure rule keeps the filtered per-Id path.
+
+/// Serves `inner`'s ForEachCandidate through the default one-Id-per-span
+/// adapter — the matcher input before the span path existed.
+class PerIdSource : public CandidateSource {
+ public:
+  explicit PerIdSource(const CandidateSource* inner) : inner_(inner) {}
+  void ForEachCandidate(
+      const BitVector& probe,
+      const std::function<void(RecordId)>& cb) const override {
+    inner_->ForEachCandidate(probe, cb);
+  }
+
+ private:
+  const CandidateSource* inner_;
+};
+
+struct SpanRun {
+  std::vector<IdPair> pairs;
+  MatchStats stats;
+};
+
+/// Clustered A records around the base vector, and B probes perturbing
+/// them, so buckets hold several Ids and probes collide in many groups.
+void ClusteredData(std::vector<EncodedRecord>* a,
+                   std::vector<EncodedRecord>* b) {
+  Rng data_rng(51);
+  for (RecordId id = 0; id < 80; ++id) {
+    a->push_back(MakeRecord(
+        id, FlipInSegment(BaseVector(), 0, 120, id % 6, data_rng)));
+  }
+  for (RecordId id = 0; id < 30; ++id) {
+    b->push_back(MakeRecord(
+        1000 + id, FlipInSegment(BaseVector(), 0, 120, id % 5, data_rng)));
+  }
+}
+
+SpanRun MatchThrough(const CandidateSource& source, const Rule& rule,
+                     const std::vector<EncodedRecord>& a,
+                     const std::vector<EncodedRecord>& b) {
+  VectorStore store;
+  store.AddAll(a);
+  const Matcher matcher(&source, &store);
+  SpanRun run;
+  run.pairs = matcher.MatchAll(b, MakeRuleClassifier(rule, NcvrLayout()),
+                               &run.stats);
+  return run;
+}
+
+TEST(AttributeLevelBlockerSpanTest, SingleStructureSpansMatchPerIdPath) {
+  // C1: one AND structure.
+  const Rule rule =
+      Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4), Rule::Pred(2, 8)});
+  Rng rng(52);
+  AttributeLevelBlocker blocker =
+      AttributeLevelBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
+          .value();
+  ASSERT_EQ(blocker.num_structures(), 1u);
+  std::vector<EncodedRecord> a;
+  std::vector<EncodedRecord> b;
+  ClusteredData(&a, &b);
+  blocker.Index(a);
+
+  const SpanRun spans = MatchThrough(blocker, rule, a, b);
+  const SpanRun per_id = MatchThrough(PerIdSource(&blocker), rule, a, b);
+  EXPECT_FALSE(spans.pairs.empty());
+  EXPECT_EQ(spans.pairs, per_id.pairs);
+  EXPECT_EQ(spans.stats.comparisons, per_id.stats.comparisons);
+  EXPECT_EQ(spans.stats.matches, per_id.stats.matches);
+  // The span path delivers repeats across groups; the per-Id path had
+  // already removed them.
+  EXPECT_GT(spans.stats.dedup_skipped, 0u);
+  EXPECT_EQ(per_id.stats.dedup_skipped, 0u);
+  EXPECT_EQ(spans.stats.candidate_occurrences,
+            spans.stats.comparisons + spans.stats.dedup_skipped);
+}
+
+TEST(AttributeLevelBlockerSpanTest, MultiStructureRuleKeepsFilteredPath) {
+  // C3: f1 AND NOT f2 — two structures joined by a membership expression.
+  const Rule rule = Rule::And({Rule::Pred(0, 4), Rule::Not(Rule::Pred(1, 4))});
+  Rng rng(53);
+  AttributeLevelBlocker blocker =
+      AttributeLevelBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
+          .value();
+  ASSERT_EQ(blocker.num_structures(), 2u);
+  std::vector<EncodedRecord> a;
+  std::vector<EncodedRecord> b;
+  ClusteredData(&a, &b);
+  blocker.Index(a);
+
+  // Every span is one filtered, de-duplicated Id.
+  for (const EncodedRecord& probe : b) {
+    std::vector<RecordId> from_spans;
+    blocker.ForEachCandidateSpan(
+        probe.bits, [&](std::span<const RecordId> ids) {
+          ASSERT_EQ(ids.size(), 1u);
+          from_spans.push_back(ids[0]);
+        });
+    std::vector<RecordId> per_id;
+    blocker.ForEachCandidate(probe.bits,
+                             [&](RecordId id) { per_id.push_back(id); });
+    EXPECT_EQ(from_spans, per_id);
+  }
+  const SpanRun spans = MatchThrough(blocker, rule, a, b);
+  const SpanRun per_id = MatchThrough(PerIdSource(&blocker), rule, a, b);
+  EXPECT_GT(spans.stats.comparisons, 0u);
+  EXPECT_EQ(spans.pairs, per_id.pairs);
+  EXPECT_EQ(spans.stats.candidate_occurrences,
+            per_id.stats.candidate_occurrences);
+  EXPECT_EQ(spans.stats.comparisons, per_id.stats.comparisons);
+  EXPECT_EQ(spans.stats.dedup_skipped, 0u);
 }
 
 // --- BulkInsert determinism: tables and retained vectors identical to

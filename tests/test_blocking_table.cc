@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <span>
+#include <vector>
+
+#include "src/common/random.h"
+
 namespace cbvlink {
 namespace {
 
@@ -100,9 +106,104 @@ TEST(BlockingTableTest, BucketsIterable) {
   BlockingTable table;
   table.Insert(1, 10);
   table.Insert(2, 20);
-  size_t total = 0;
-  for (const auto& [key, bucket] : table.buckets()) total += bucket.size();
-  EXPECT_EQ(total, 2u);
+  table.Insert(2, 21);
+  std::map<uint64_t, std::vector<RecordId>> seen;
+  table.ForEachBucket([&](uint64_t key, std::span<const RecordId> bucket) {
+    seen[key].assign(bucket.begin(), bucket.end());
+  });
+  const std::map<uint64_t, std::vector<RecordId>> expected = {
+      {1, {10}}, {2, {20, 21}}};
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(BlockingTableTest, GetOnEmptyAndAbsentKey) {
+  BlockingTable table;
+  EXPECT_TRUE(table.Get(0).empty());
+  EXPECT_TRUE(table.Get(~uint64_t{0}).empty());
+  table.Insert(0, 5);
+  EXPECT_EQ(table.Get(0).size(), 1u);
+  EXPECT_TRUE(table.Get(1).empty());
+  EXPECT_TRUE(table.Get(~uint64_t{0}).empty());
+}
+
+TEST(BlockingTableTest, EqualityIgnoresLayoutButNotIdOrder) {
+  BlockingTable x;
+  BlockingTable y;
+  x.Insert(1, 10);
+  x.Insert(2, 20);
+  x.Insert(1, 11);
+  // Same buckets reached in another key order (different arena layout).
+  y.Insert(2, 20);
+  y.Insert(1, 10);
+  y.Insert(1, 11);
+  EXPECT_TRUE(x == y);
+  BlockingTable z;
+  z.Insert(1, 11);
+  z.Insert(1, 10);
+  z.Insert(2, 20);
+  EXPECT_FALSE(x == z);  // bucket 1 holds the same Ids in another order
+  z.Clear();
+  EXPECT_FALSE(x == z);
+  EXPECT_TRUE(z == BlockingTable());
+}
+
+TEST(BlockingTableTest, BulkThenStreamingEqualsStreamingAlone) {
+  // A bulk-built arena is exact (every bucket full), so the first
+  // streaming insert into any bulk bucket must relocate it; a relocation
+  // that overwrote the neighbouring bucket would show up here.
+  Rng rng(7);
+  std::vector<uint64_t> keys;
+  std::vector<RecordId> ids;
+  for (RecordId id = 0; id < 500; ++id) {
+    keys.push_back(rng.Below(40));
+    ids.push_back(id);
+  }
+  BlockingTable bulk;
+  bulk.BulkInsert(keys.data(), 1, ids);
+  BlockingTable streamed;
+  for (size_t i = 0; i < ids.size(); ++i) streamed.Insert(keys[i], ids[i]);
+  EXPECT_TRUE(bulk == streamed);
+
+  for (RecordId id = 500; id < 1500; ++id) {
+    const uint64_t key = rng.Below(60);  // existing keys 0..39, new 40..59
+    bulk.Insert(key, id);
+    streamed.Insert(key, id);
+  }
+  EXPECT_TRUE(bulk == streamed);
+  EXPECT_EQ(bulk.NumBuckets(), streamed.NumBuckets());
+  EXPECT_EQ(bulk.NumEntries(), 1500u);
+  EXPECT_EQ(bulk.MaxBucketSize(), streamed.MaxBucketSize());
+  EXPECT_EQ(bulk.OccupancyHistogram(), streamed.OccupancyHistogram());
+}
+
+TEST(BlockingTableTest, GrowsPastSixtyFourThousandKeys) {
+  constexpr uint64_t kKeys = (uint64_t{1} << 16) + 1000;
+  std::vector<uint64_t> keys;
+  std::vector<RecordId> ids;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    // Two Ids per key; sequential keys stress the slot hash.
+    keys.push_back(k);
+    keys.push_back(k);
+    ids.push_back(2 * k);
+    ids.push_back(2 * k + 1);
+  }
+  BlockingTable bulk;
+  bulk.BulkInsert(keys.data(), 1, ids);
+  BlockingTable streamed;
+  for (size_t i = 0; i < ids.size(); ++i) streamed.Insert(keys[i], ids[i]);
+  for (const BlockingTable* table : {&bulk, &streamed}) {
+    EXPECT_EQ(table->NumBuckets(), kKeys);
+    EXPECT_EQ(table->NumEntries(), 2 * kKeys);
+    EXPECT_EQ(table->MaxBucketSize(), 2u);
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      const std::span<const RecordId> bucket = table->Get(k);
+      ASSERT_EQ(bucket.size(), 2u) << "key " << k;
+      EXPECT_EQ(bucket[0], 2 * k);
+      EXPECT_EQ(bucket[1], 2 * k + 1);
+    }
+    EXPECT_TRUE(table->Get(kKeys).empty());
+  }
+  EXPECT_TRUE(bulk == streamed);
 }
 
 }  // namespace

@@ -221,6 +221,30 @@ TEST_F(LinkersTest, CbvHbAttributeLevelFindsMostPairs) {
   EXPECT_GE(result.value().quality.pairs_completeness, 0.9);
 }
 
+TEST_F(LinkersTest, CbvHbAttributeLevelCountsDuplicateOccurrences) {
+  // Rule C1 (Section 6.2) lowers to one blocking structure, whose buckets
+  // reach the matcher as spans: a record colliding with the probe in
+  // several groups is delivered once per group, and the matcher's unique
+  // collection is what removes the repeats.  The funnel counters must
+  // show it — occurrences are pre-dedup.
+  CbvHbConfig config;
+  config.schema = generator_->schema();
+  config.rule =
+      Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4), Rule::Pred(2, 8)});
+  config.attribute_level_blocking = true;
+  config.attribute_K = {5, 5, 10, 5};
+  config.seed = 2;
+  Result<CbvHbLinker> linker = CbvHbLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  Result<LinkageResult> result = linker.value().Link(data_->a, data_->b);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const MatchStats& stats = result.value().stats;
+  EXPECT_GT(stats.matches, 0u);
+  EXPECT_GT(stats.dedup_skipped, 0u);
+  EXPECT_EQ(stats.candidate_occurrences,
+            stats.comparisons + stats.dedup_skipped);
+}
+
 TEST_F(LinkersTest, BfhFindsMostPairs) {
   BfhConfig config;
   config.schema = generator_->schema();

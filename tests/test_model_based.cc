@@ -109,10 +109,41 @@ TEST(BlockingTableModelTest, AgreesWithMultimap) {
   Rng rng(45);
   BlockingTable table;
   std::map<uint64_t, std::vector<RecordId>> model;
+  const auto expect_agrees = [&](int op) {
+    EXPECT_EQ(table.NumBuckets(), model.size()) << "op " << op;
+    size_t model_entries = 0;
+    size_t model_max = 0;
+    for (const auto& [key, bucket] : model) {
+      model_entries += bucket.size();
+      model_max = std::max(model_max, bucket.size());
+      const auto actual = table.Get(key);
+      ASSERT_EQ(actual.size(), bucket.size()) << "key " << key << " op " << op;
+      for (size_t i = 0; i < bucket.size(); ++i) {
+        EXPECT_EQ(actual[i], bucket[i]);
+      }
+    }
+    EXPECT_EQ(table.NumEntries(), model_entries) << "op " << op;
+    EXPECT_EQ(table.MaxBucketSize(), model_max) << "op " << op;
+  };
   for (int op = 0; op < 2000; ++op) {
     const uint64_t key = rng.Below(50);
     const RecordId id = rng.Below(200);
-    if (rng.NextBool(0.85)) {
+    if (op == 0 || rng.NextBool(0.03)) {
+      // A bulk batch: the exact-layout build into an empty table, plain
+      // inserts into a non-empty one.
+      std::vector<uint64_t> keys;
+      std::vector<RecordId> ids;
+      for (size_t n = 1 + rng.Below(40); n > 0; --n) {
+        keys.push_back(rng.Below(50));
+        ids.push_back(rng.Below(200));
+        model[keys.back()].push_back(ids.back());
+      }
+      table.BulkInsert(keys.data(), 1, ids);
+      expect_agrees(op);
+    } else if (rng.NextBool(0.01)) {
+      table.Clear();
+      model.clear();
+    } else if (rng.NextBool(0.85)) {
       table.Insert(key, id);
       model[key].push_back(id);
     } else {
@@ -125,20 +156,7 @@ TEST(BlockingTableModelTest, AgreesWithMultimap) {
       }
     }
   }
-  EXPECT_EQ(table.NumBuckets(), model.size());
-  size_t model_entries = 0;
-  size_t model_max = 0;
-  for (const auto& [key, bucket] : model) {
-    model_entries += bucket.size();
-    model_max = std::max(model_max, bucket.size());
-    const auto actual = table.Get(key);
-    ASSERT_EQ(actual.size(), bucket.size()) << "key " << key;
-    for (size_t i = 0; i < bucket.size(); ++i) {
-      EXPECT_EQ(actual[i], bucket[i]);
-    }
-  }
-  EXPECT_EQ(table.NumEntries(), model_entries);
-  EXPECT_EQ(table.MaxBucketSize(), model_max);
+  expect_agrees(2000);
 }
 
 TEST(CsvRoundTripTest, WriterOutputParsesBack) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -79,9 +80,11 @@ std::vector<LegacyBucket> ServiceBuckets(
   std::vector<LegacyBucket> buckets;
   const std::vector<BlockingTable>& tables = blocker.value().tables();
   for (size_t l = 0; l < tables.size(); ++l) {
-    for (const auto& [key, ids] : tables[l].buckets()) {
-      buckets.push_back(LegacyBucket{l, key, false, ids});
-    }
+    tables[l].ForEachBucket(
+        [&](uint64_t key, std::span<const RecordId> ids) {
+          buckets.push_back(LegacyBucket{
+              l, key, false, std::vector<RecordId>(ids.begin(), ids.end())});
+        });
   }
   return buckets;
 }
