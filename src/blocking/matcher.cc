@@ -236,11 +236,6 @@ bool PairClassifier::EvalNode(uint32_t index, const uint64_t* a,
 }
 
 void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
-                       std::vector<IdPair>* out, MatchStats* stats) const {
-  MatchOne(b, classifier, out, stats, &scratch_);
-}
-
-void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
                        std::vector<IdPair>* out, MatchStats* stats,
                        Scratch* scratch) const {
   // Counters are optional (some callers only want the pairs).
@@ -314,12 +309,6 @@ void Matcher::Compare(const EncodedRecord& b, const PairClassifier& classifier,
       out->push_back(IdPair{store_a_->IdAt(dense), b.id});
     }
   }
-}
-
-std::vector<IdPair> Matcher::MatchAll(
-    const std::vector<EncodedRecord>& b_records,
-    const PairClassifier& classifier, MatchStats* stats) const {
-  return MatchAll(b_records, classifier, stats, nullptr);
 }
 
 std::vector<IdPair> Matcher::MatchAll(

@@ -350,36 +350,27 @@ class Matcher {
                MatchStats* stats) const;
 
   /// Matches one B record; appends matched pairs to `out`.  `stats` may
-  /// be null when the caller does not need counters.  Uses the matcher's
-  /// internal scratch — not thread-safe across concurrent MatchOne calls
-  /// on one Matcher; use the Scratch overload for that.
-  void MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
-                std::vector<IdPair>* out, MatchStats* stats) const;
-
-  /// MatchOne with caller-owned scratch (per-thread reuse).
+  /// be null when the caller does not need counters.  The caller owns
+  /// `scratch` (one per thread, reused across calls), so a const Matcher
+  /// is safe to share across threads.
   void MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
                 std::vector<IdPair>* out, MatchStats* stats,
                 Scratch* scratch) const;
 
-  /// Matches every B record in sequence.  `stats` may be null.
+  /// Matches every B record; `stats` may be null.  With a multi-worker
+  /// `pool` the B records are sharded over it (null or a single-worker
+  /// pool runs serially).  Each shard keeps private stats and match
+  /// buffers; buffers are concatenated in shard order, so pairs and
+  /// stats totals are identical to the serial engine at any thread
+  /// count.
   std::vector<IdPair> MatchAll(const std::vector<EncodedRecord>& b_records,
                                const PairClassifier& classifier,
-                               MatchStats* stats) const;
-
-  /// Parallel MatchAll: shards the B records over `pool` (null or a
-  /// single-worker pool falls back to the serial path).  Each shard keeps
-  /// private stats and match buffers; buffers are concatenated in shard
-  /// order, so pairs and stats totals are identical to the serial engine
-  /// at any thread count.
-  std::vector<IdPair> MatchAll(const std::vector<EncodedRecord>& b_records,
-                               const PairClassifier& classifier,
-                               MatchStats* stats, ThreadPool* pool) const;
+                               MatchStats* stats,
+                               ThreadPool* pool = nullptr) const;
 
  private:
   const CandidateSource* source_;
   const VectorStore* store_a_;
-  /// Scratch behind the scratch-less MatchOne overload.
-  mutable Scratch scratch_;
 };
 
 }  // namespace cbvlink

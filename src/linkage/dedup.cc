@@ -52,9 +52,10 @@ Result<DedupResult> FindDuplicates(const std::vector<Record>& records,
   // pair is considered at most once.
   VectorStore store;
   const Matcher matcher(&parts.source(), &store);
+  Matcher::Scratch scratch;
   for (const EncodedRecord& record : encoded.value()) {
     matcher.MatchOne(record, parts.classifier, &result.duplicate_pairs,
-                     &result.stats);
+                     &result.stats, &scratch);
     parts.Insert(record);
     store.Add(record);
   }

@@ -88,6 +88,7 @@ Result<MultiPartyResult> MultiPartyLinker::Link(
 
   VectorStore store;
   const Matcher matcher(&parts.source(), &store);
+  Matcher::Scratch scratch;
 
   // Incremental pass: probe each party against everything indexed so far,
   // then index it.  Every cross-party pair is considered exactly once.
@@ -104,7 +105,8 @@ Result<MultiPartyResult> MultiPartyLinker::Link(
     if (p > 0) {
       std::vector<IdPair> found;
       for (const EncodedRecord& probe : encoded) {
-        matcher.MatchOne(probe, parts.classifier, &found, &result.stats);
+        matcher.MatchOne(probe, parts.classifier, &found, &result.stats,
+                         &scratch);
       }
       for (const IdPair& pair : found) {
         // a_id is the earlier-indexed record; b_id the probing one.

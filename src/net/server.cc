@@ -1304,9 +1304,8 @@ void NetServer::Impl::HandleBinary(const PendingRequest& req,
       return;
     }
     case MsgType::kStats: {
-      service->FillTelemetry();
       EncodeFrame(MsgType::kStatsJson,
-                  telemetry::ToJson(telemetry::Registry::Global()), out);
+                  telemetry::ToJson(service->CollectTelemetry()), out);
       return;
     }
     default:
@@ -1340,16 +1339,14 @@ void NetServer::Impl::HandleHttp(const PendingRequest& req, std::string* out,
       return;
     }
     if (http.target == "/metrics") {
-      service->FillTelemetry();
       out->append(HttpResponse(
           200, "text/plain; version=0.0.4",
-          telemetry::ToPrometheusText(telemetry::Registry::Global()), keep));
+          telemetry::ToPrometheusText(service->CollectTelemetry()), keep));
       return;
     }
     if (http.target == "/stats") {
-      service->FillTelemetry();
       out->append(HttpResponse(200, "application/json",
-                               telemetry::ToJson(telemetry::Registry::Global()),
+                               telemetry::ToJson(service->CollectTelemetry()),
                                keep));
       return;
     }

@@ -21,7 +21,7 @@ namespace {
 /// keeps Matches waiting.
 constexpr size_t kInsertSlice = 1024;
 
-/// Log2 bucket-occupancy bins exported by FillTelemetry.
+/// Log2 bucket-occupancy bins exported by CollectTelemetry.
 constexpr size_t kOccupancySlots = 16;
 
 void AtomicMinRelaxed(std::atomic<uint64_t>* target, uint64_t value) {
@@ -210,23 +210,24 @@ Status LinkageService::Init() {
     pool_ = owned_pool_.get();
   }
 
-  // Resolve process-wide telemetry handles once; every Record/Add after
-  // this point is lock-free.  Several services in one process share
-  // these series by design (the registry is process-scoped).
-  telemetry::Registry& reg = telemetry::Registry::Global();
-  t_query_latency_ = reg.GetHistogram("query_latency_us");
-  t_insert_latency_ = reg.GetHistogram("insert_latency_us");
-  t_batch_latency_ = reg.GetHistogram("batch_latency_us");
-  t_queries_ = reg.GetCounter("service_queries_total");
-  t_inserts_ = reg.GetCounter("service_inserts_total");
-  t_deletes_ = reg.GetCounter("service_deletes_total");
-  t_updates_ = reg.GetCounter("service_updates_total");
-  t_compactions_ = reg.GetCounter("compaction_runs_total");
-  t_compaction_reclaimed_ = reg.GetCounter("compaction_reclaimed_total");
-  t_compaction_pause_ = reg.GetHistogram("compaction_pause_us");
-  t_candidates_ = reg.GetCounter("service_candidates_total");
-  t_comparisons_ = reg.GetCounter("service_comparisons_total");
-  t_matches_ = reg.GetCounter("service_matches_total");
+  // Every series the service writes lives in its own registry, so two
+  // services in one process keep separate numbers.
+  t_query_latency_ = registry_.GetHistogram("query_latency_us");
+  t_insert_latency_ = registry_.GetHistogram("insert_latency_us");
+  t_batch_latency_ = registry_.GetHistogram("batch_latency_us");
+  t_queries_ = registry_.GetCounter("service_queries_total");
+  t_inserts_ = registry_.GetCounter("service_inserts_total");
+  t_deletes_ = registry_.GetCounter("service_deletes_total");
+  t_updates_ = registry_.GetCounter("service_updates_total");
+  t_compactions_ = registry_.GetCounter("compaction_runs_total");
+  t_compaction_reclaimed_ = registry_.GetCounter("compaction_reclaimed_total");
+  t_compaction_pause_ = registry_.GetHistogram("compaction_pause_us");
+  t_candidates_ = registry_.GetCounter("service_candidates_total");
+  t_comparisons_ = registry_.GetCounter("service_comparisons_total");
+  t_matches_ = registry_.GetCounter("service_matches_total");
+  t_restore_fallbacks_ =
+      registry_.GetCounter("service_restore_fallbacks_total");
+  t_skipped_rows_ = registry_.GetCounter("service_skipped_rows_total");
   return Status::OK();
 }
 
@@ -267,7 +268,6 @@ Status LinkageService::InsertUnjournaled(const Record& record) {
   WithWriteLock([&](IndexEpoch& index) { index.Upsert(encoded.value()); });
   insert_span.End();
   const uint64_t end = NowNanos();
-  inserts_.fetch_add(1, std::memory_order_relaxed);
   RecordSpan(start, end, &insert_nanos_, &first_insert_start_ns_,
              &last_insert_end_ns_);
   t_inserts_->Add(1);
@@ -317,7 +317,6 @@ Status LinkageService::DeleteUnjournaled(RecordId id, uint64_t* sequence) {
     return Status::NotFound(
         StrFormat("record %llu is not live", static_cast<unsigned long long>(id)));
   }
-  deletes_.fetch_add(1, std::memory_order_relaxed);
   t_deletes_->Add(1);
   return Status::OK();
 }
@@ -343,7 +342,6 @@ Status LinkageService::UpdateUnjournaled(const Record& record,
     return Status::NotFound(StrFormat(
         "record %llu is not live", static_cast<unsigned long long>(record.id)));
   }
-  updates_.fetch_add(1, std::memory_order_relaxed);
   t_updates_->Add(1);
   return Status::OK();
 }
@@ -418,10 +416,7 @@ Result<bool> LinkageService::ApplyMutation(const MutationOp& op) {
         if (SkipReplayed(op.record.id, op.sequence)) return;
         applied = index.store.Remove(op.record.id);  // unknown id: no-op
       });
-      if (applied) {
-        deletes_.fetch_add(1, std::memory_order_relaxed);
-        t_deletes_->Add(1);
-      }
+      if (applied) t_deletes_->Add(1);
       return applied;
     }
     case MutationKind::kUpdate: {
@@ -437,10 +432,7 @@ Result<bool> LinkageService::ApplyMutation(const MutationOp& op) {
         index.Upsert(encoded.value());
         applied = true;
       });
-      if (applied) {
-        updates_.fetch_add(1, std::memory_order_relaxed);
-        t_updates_->Add(1);
-      }
+      if (applied) t_updates_->Add(1);
       return applied;
     }
   }
@@ -544,11 +536,8 @@ Result<uint64_t> LinkageService::MergeSnapshotRecords(
     });
     AtomicMaxRelaxed(&sequence_, snapshot.last_sequence);
   });
-  inserts_.fetch_add(inserted, std::memory_order_relaxed);
   t_inserts_->Add(inserted);
-  updates_.fetch_add(updated, std::memory_order_relaxed);
   t_updates_->Add(updated);
-  deletes_.fetch_add(deleted, std::memory_order_relaxed);
   t_deletes_->Add(deleted);
   return inserted + updated + deleted;
 }
@@ -578,10 +567,8 @@ Status LinkageService::Compact() {
     std::unique_lock swap_lock(index_mu_);
     index_ = std::move(fresh);
   }
-  compactions_.fetch_add(1, std::memory_order_relaxed);
-  compaction_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
   t_compactions_->Add(1);
-  if (reclaimed != 0) t_compaction_reclaimed_->Add(reclaimed);
+  t_compaction_reclaimed_->Add(reclaimed);
   t_compaction_pause_->Record((NowNanos() - pause_start) / 1000);
   return Status::OK();
 }
@@ -654,10 +641,6 @@ void LinkageService::Probe(const EncodedRecord& b,
   // Registry-id order makes a query's output independent of bucket
   // order, so it is byte-identical across compaction and restore.
   std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end());
-  candidate_occurrences_.fetch_add(stats.candidate_occurrences,
-                                   std::memory_order_relaxed);
-  comparisons_.fetch_add(stats.comparisons, std::memory_order_relaxed);
-  matches_.fetch_add(stats.matches, std::memory_order_relaxed);
   // Match-funnel telemetry: candidates -> comparisons -> matches.  The
   // ratios are the paper's RR/PQ analogues at serving time (a drifting
   // comparisons/candidates ratio means the Eq. 2 tables stopped
@@ -677,7 +660,6 @@ Status LinkageService::Match(const Record& record,
   if (!encoded.ok()) return encoded.status();
   Probe(encoded.value(), out);
   const uint64_t end = NowNanos();
-  queries_.fetch_add(1, std::memory_order_relaxed);
   RecordSpan(start, end, &query_nanos_, &first_query_start_ns_,
              &last_query_end_ns_);
   t_queries_->Add(1);
@@ -696,7 +678,6 @@ Status LinkageService::MatchAndInsert(const Record& record,
   if (!encoded.ok()) return encoded.status();
   Probe(encoded.value(), out);
   const uint64_t mid = NowNanos();
-  queries_.fetch_add(1, std::memory_order_relaxed);
   RecordSpan(start, mid, &query_nanos_, &first_query_start_ns_,
              &last_query_end_ns_);
   t_queries_->Add(1);
@@ -705,7 +686,6 @@ Status LinkageService::MatchAndInsert(const Record& record,
   WithWriteLock([&](IndexEpoch& index) { index.Upsert(encoded.value()); });
   insert_span.End();
   const uint64_t end = NowNanos();
-  inserts_.fetch_add(1, std::memory_order_relaxed);
   RecordSpan(mid, end, &insert_nanos_, &first_insert_start_ns_,
              &last_insert_end_ns_);
   t_inserts_->Add(1);
@@ -735,7 +715,6 @@ Status LinkageService::InsertBatch(const std::vector<Record>& records) {
   }
   insert_span.Annotate("records", rows.size());
   insert_span.End();
-  inserts_.fetch_add(rows.size(), std::memory_order_relaxed);
   RecordSpan(start, NowNanos(), &insert_nanos_, &first_insert_start_ns_,
              &last_insert_end_ns_);
   t_inserts_->Add(rows.size());
@@ -888,7 +867,7 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
     index.store.Remove(id);
   }
   index.blocker.BulkInsert(snapshot.records, service.pool_);
-  service.inserts_.store(snapshot.records.size(), std::memory_order_relaxed);
+  service.restored_records_ = snapshot.records.size();
   service.sequence_.store(snapshot.last_sequence, std::memory_order_relaxed);
   service.replay_floor_ = snapshot.last_sequence;
   return created;
@@ -918,11 +897,7 @@ Result<std::unique_ptr<LinkageService>> LinkageService::RestoreFromFile(
     Result<std::unique_ptr<LinkageService>> service =
         Restore(backup.value());
     if (service.ok()) {
-      service.value()->restore_fallbacks_.fetch_add(
-          1, std::memory_order_relaxed);
-      telemetry::Registry::Global()
-          .GetCounter("service_restore_fallbacks_total")
-          ->Add(1);
+      service.value()->t_restore_fallbacks_->Add(1);
       return service;
     }
   }
@@ -931,25 +906,23 @@ Result<std::unique_ptr<LinkageService>> LinkageService::RestoreFromFile(
 
 ServiceMetrics LinkageService::metrics() const {
   ServiceMetrics m;
-  m.inserts = inserts_.load(std::memory_order_relaxed);
-  m.deletes = deletes_.load(std::memory_order_relaxed);
-  m.updates = updates_.load(std::memory_order_relaxed);
+  m.inserts = restored_records_ + t_inserts_->Value();
+  m.deletes = t_deletes_->Value();
+  m.updates = t_updates_->Value();
   {
     const std::shared_ptr<IndexEpoch> index = PinIndex();
     std::shared_lock lock(index->mu);
     m.live_records = index->store.live_size();
     m.tombstones = index->store.dead_count();
   }
-  m.compactions = compactions_.load(std::memory_order_relaxed);
-  m.compaction_reclaimed =
-      compaction_reclaimed_.load(std::memory_order_relaxed);
-  m.queries = queries_.load(std::memory_order_relaxed);
-  m.candidate_occurrences =
-      candidate_occurrences_.load(std::memory_order_relaxed);
-  m.comparisons = comparisons_.load(std::memory_order_relaxed);
-  m.matches = matches_.load(std::memory_order_relaxed);
-  m.restore_fallbacks = restore_fallbacks_.load(std::memory_order_relaxed);
-  m.skipped_rows = skipped_rows_.load(std::memory_order_relaxed);
+  m.compactions = t_compactions_->Value();
+  m.compaction_reclaimed = t_compaction_reclaimed_->Value();
+  m.queries = t_queries_->Value();
+  m.candidate_occurrences = t_candidates_->Value();
+  m.comparisons = t_comparisons_->Value();
+  m.matches = t_matches_->Value();
+  m.restore_fallbacks = t_restore_fallbacks_->Value();
+  m.skipped_rows = t_skipped_rows_->Value();
   m.insert_seconds =
       static_cast<double>(insert_nanos_.load(std::memory_order_relaxed)) * 1e-9;
   m.query_seconds =
@@ -966,16 +939,10 @@ ServiceMetrics LinkageService::metrics() const {
   return m;
 }
 
-void LinkageService::RecordSkippedRows(uint64_t n) {
-  skipped_rows_.fetch_add(n, std::memory_order_relaxed);
-  telemetry::Registry::Global()
-      .GetCounter("service_skipped_rows_total")
-      ->Add(n);
-}
+void LinkageService::RecordSkippedRows(uint64_t n) { t_skipped_rows_->Add(n); }
 
-void LinkageService::FillTelemetry(telemetry::Registry* registry) const {
-  telemetry::Registry& reg =
-      registry != nullptr ? *registry : telemetry::Registry::Global();
+telemetry::Registry::Snapshot LinkageService::CollectTelemetry() const {
+  telemetry::Registry& reg = registry_;
 
   // Which Hamming kernel set the process dispatches to (scalar / avx2 /
   // avx512): the named series is set to 1, so a scrape can alert on an
@@ -1046,6 +1013,8 @@ void LinkageService::FillTelemetry(telemetry::Registry* registry) const {
                                         StrFormat("%zu", bin)))
         ->Set(static_cast<double>(occupancy[bin]));
   }
+  return telemetry::MergeSnapshots(telemetry::Registry::Global().Collect(),
+                                   registry_.Collect());
 }
 
 }  // namespace cbvlink

@@ -6,8 +6,9 @@
 // encoder, a VectorStore arena, a RecordLevelBlocker (§4.2's HB tables)
 // and a Matcher (Algorithm 2) — behind thread-safe Match /
 // MatchAndInsert calls, batch APIs driven by a thread pool, per-call
-// latency and volume counters, and snapshot/restore so a restarted
-// process resumes warm from disk (src/io/serialization.h).
+// latency and volume counters in the service's own telemetry registry,
+// and snapshot/restore so a restarted process resumes warm from disk
+// (src/io/serialization.h).
 //
 // Concurrency model (DESIGN.md §15): the store and the tables form one
 // index epoch behind one std::shared_mutex.  A Match pins the epoch and
@@ -57,15 +58,10 @@
 #include "src/io/journal.h"
 #include "src/io/serialization.h"
 #include "src/linkage/cbv_hb_linker.h"
+#include "src/telemetry/metrics.h"
 #include "src/text/alphabet.h"
 
 namespace cbvlink {
-
-namespace telemetry {
-class Counter;
-class Histogram;
-class Registry;
-}  // namespace telemetry
 
 /// Service-layer options on top of CbvHbConfig.
 struct LinkageServiceOptions {
@@ -291,20 +287,20 @@ class LinkageService {
   /// past the mark may duplicate snapshot contents — replay dedupes).
   Status SaveSnapshotToFile(const std::string& path) const;
 
-  /// A point-in-time copy of the counters.
+  /// A point-in-time copy of the counters, read from the service's
+  /// telemetry registry.
   ServiceMetrics metrics() const;
 
-  /// Refreshes the polled (gauge) telemetry in `registry`: record/index
-  /// sizes, per-table LSH health (bucket count, entries, max/mean bucket
-  /// size) and the cross-table bucket-occupancy histogram — the runtime
-  /// observables of Theorem 1's m_opt and Eq. 2's L.  Call before
-  /// exporting (stats reporter tick, scrape, shutdown dump); the
-  /// event-driven metrics (latency histograms, funnel counters) are
-  /// maintained live and need no refresh.  Holds the epoch lock shared
-  /// for one pass over the tables (writers wait); do not call from a
-  /// latency-critical path.  Null `registry` targets the process-wide
-  /// telemetry::Registry::Global().
-  void FillTelemetry(telemetry::Registry* registry = nullptr) const;
+  /// The export view: refreshes the polled gauges in the service's
+  /// registry — record/index sizes, per-table LSH health (bucket count,
+  /// entries, max/mean bucket size) and the cross-table bucket-occupancy
+  /// histogram, the runtime observables of Theorem 1's m_opt and Eq. 2's
+  /// L — and returns that registry merged with the process-wide
+  /// telemetry::Registry::Global() (journal, matcher, net series).  The
+  /// event-driven series (latency histograms, funnel counters) are
+  /// maintained live.  Holds the epoch lock shared for one pass over the
+  /// tables (writers wait); do not call from a latency-critical path.
+  telemetry::Registry::Snapshot CollectTelemetry() const;
 
   /// Lets the feeding layer (e.g. the serve CLI) account malformed input
   /// rows it skipped, so operational dashboards see them next to the
@@ -436,18 +432,11 @@ class LinkageService {
                          std::atomic<uint64_t>* first_start,
                          std::atomic<uint64_t>* last_end);
 
-  // Counters (relaxed; read via metrics()).
-  mutable std::atomic<uint64_t> inserts_{0};
-  mutable std::atomic<uint64_t> deletes_{0};
-  mutable std::atomic<uint64_t> updates_{0};
-  mutable std::atomic<uint64_t> compactions_{0};
-  mutable std::atomic<uint64_t> compaction_reclaimed_{0};
-  mutable std::atomic<uint64_t> queries_{0};
-  mutable std::atomic<uint64_t> candidate_occurrences_{0};
-  mutable std::atomic<uint64_t> comparisons_{0};
-  mutable std::atomic<uint64_t> matches_{0};
-  mutable std::atomic<uint64_t> restore_fallbacks_{0};
-  mutable std::atomic<uint64_t> skipped_rows_{0};
+  /// Records Restore() loaded from the snapshot: metrics() counts them
+  /// as inserts, service_inserts_total does not (it counts this
+  /// process's insert calls).  Set before the service is shared.
+  uint64_t restored_records_ = 0;
+  // Busy-time sums (read via metrics()).
   mutable std::atomic<uint64_t> insert_nanos_{0};
   mutable std::atomic<uint64_t> query_nanos_{0};
   // Wall-clock activity spans (see ServiceMetrics::*_wall_seconds):
@@ -458,8 +447,12 @@ class LinkageService {
   mutable std::atomic<uint64_t> first_insert_start_ns_{UINT64_MAX};
   mutable std::atomic<uint64_t> last_insert_end_ns_{0};
 
-  // Process-wide telemetry handles (resolved once in Init(); the
-  // registry outlives every service, so raw pointers are safe).
+  /// The service's own telemetry: the only store of its event counts
+  /// and latency histograms (metrics() reads it; CollectTelemetry
+  /// exports it).  Mutable for the gauge refresh in CollectTelemetry.
+  mutable telemetry::Registry registry_;
+  // Handles into registry_, resolved once in Init(); every Add/Record
+  // after that is lock-free.
   telemetry::Histogram* t_query_latency_ = nullptr;
   telemetry::Histogram* t_insert_latency_ = nullptr;
   telemetry::Histogram* t_batch_latency_ = nullptr;
@@ -473,6 +466,8 @@ class LinkageService {
   telemetry::Counter* t_candidates_ = nullptr;
   telemetry::Counter* t_comparisons_ = nullptr;
   telemetry::Counter* t_matches_ = nullptr;
+  telemetry::Counter* t_restore_fallbacks_ = nullptr;
+  telemetry::Counter* t_skipped_rows_ = nullptr;
 };
 
 }  // namespace cbvlink

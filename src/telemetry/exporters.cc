@@ -109,10 +109,6 @@ std::string ToPrometheusText(const Registry::Snapshot& snapshot) {
   return out;
 }
 
-std::string ToPrometheusText(const Registry& registry) {
-  return ToPrometheusText(registry.Collect());
-}
-
 std::string ToJson(const Registry::Snapshot& snapshot) {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
@@ -168,12 +164,8 @@ std::string ToJson(const Registry::Snapshot& snapshot) {
   return out;
 }
 
-std::string ToJson(const Registry& registry) {
-  return ToJson(registry.Collect());
-}
-
-Status DumpJson(const Registry& registry, const std::string& path) {
-  return WriteFileAtomically(path, ToJson(registry));
+Status DumpJson(const Registry::Snapshot& snapshot, const std::string& path) {
+  return WriteFileAtomically(path, ToJson(snapshot));
 }
 
 }  // namespace telemetry

@@ -31,7 +31,6 @@ namespace telemetry {
 /// `# TYPE` header is emitted once per base name.  Histogram names must
 /// not carry embedded labels (the `le` label could not be merged).
 std::string ToPrometheusText(const Registry::Snapshot& snapshot);
-std::string ToPrometheusText(const Registry& registry);
 
 /// Renders `snapshot` as a JSON object:
 ///   {"counters": {name: value, ...},
@@ -42,12 +41,11 @@ std::string ToPrometheusText(const Registry& registry);
 /// Bucket entries are non-cumulative and zero buckets are omitted; the
 /// overflow bucket's "le" is the string "+Inf".
 std::string ToJson(const Registry::Snapshot& snapshot);
-std::string ToJson(const Registry& registry);
 
-/// Writes ToJson(registry) to `path` atomically (tmp + fsync + rename —
+/// Writes ToJson(snapshot) to `path` atomically (tmp + fsync + rename —
 /// the io/serialization write path), so concurrent readers see either
 /// the previous complete dump or the new one, never a prefix.
-Status DumpJson(const Registry& registry, const std::string& path);
+Status DumpJson(const Registry::Snapshot& snapshot, const std::string& path);
 
 }  // namespace telemetry
 }  // namespace cbvlink

@@ -29,6 +29,25 @@ void AtomicMaxRelaxed(std::atomic<uint64_t>* target, uint64_t value) {
   }
 }
 
+/// Merges two name-sorted series lists; `scoped` wins a name collision.
+template <typename T>
+void MergeSeries(std::vector<std::pair<std::string, T>>* base,
+                 const std::vector<std::pair<std::string, T>>& scoped) {
+  std::vector<std::pair<std::string, T>> merged;
+  merged.reserve(base->size() + scoped.size());
+  auto a = base->begin();
+  auto b = scoped.begin();
+  while (a != base->end() || b != scoped.end()) {
+    if (b == scoped.end() || (a != base->end() && a->first < b->first)) {
+      merged.push_back(std::move(*a++));
+      continue;
+    }
+    if (a != base->end() && a->first == b->first) ++a;
+    merged.push_back(*b++);
+  }
+  *base = std::move(merged);
+}
+
 }  // namespace
 
 std::string LabeledName(const std::string& base, const std::string& key,
@@ -157,6 +176,14 @@ Registry::Snapshot Registry::Collect() const {
     snap.histograms.emplace_back(name, histogram->Snap());
   }
   return snap;
+}
+
+Registry::Snapshot MergeSnapshots(Registry::Snapshot base,
+                                  const Registry::Snapshot& scoped) {
+  MergeSeries(&base.counters, scoped.counters);
+  MergeSeries(&base.gauges, scoped.gauges);
+  MergeSeries(&base.histograms, scoped.histograms);
+  return base;
 }
 
 void Registry::ResetForTest() {

@@ -1,5 +1,5 @@
-// Process-wide telemetry: named counters, gauges, and fixed-boundary
-// log-scale histograms, collected into a Registry that exporters
+// Telemetry: named counters, gauges, and fixed-boundary log-scale
+// histograms, collected into a Registry that exporters
 // (src/telemetry/exporters.h) turn into Prometheus text or JSON.
 //
 // The hot-path contract is that recording a sample never takes a lock
@@ -15,7 +15,7 @@
 // Why these metrics exist at all: the paper's tunables (m_opt from
 // Theorem 1, L = ceil(ln delta / ln(1 - p^K)) from Eq. 2) manifest at
 // runtime as bucket-occupancy skew and candidate/comparison ratios.
-// The serving layer feeds those into this registry (match-funnel
+// The serving layer feeds those into its registry (match-funnel
 // counters, per-table LSH gauges, latency histograms) so the collision
 // behaviour the guarantees depend on is observable in production, not
 // only in offline benches.
@@ -73,7 +73,8 @@ class Counter {
 };
 
 /// A settable point-in-time value (doubles; typically written by a
-/// collection pass such as LinkageService::FillTelemetry, not a hot path).
+/// collection pass such as LinkageService::CollectTelemetry, not a hot
+/// path).
 class Gauge {
  public:
   void Set(double value) { value_.store(value, std::memory_order_relaxed); }
@@ -152,8 +153,10 @@ class Histogram {
 /// lifetime, so call sites resolve their handles once and record
 /// lock-free afterwards.  All methods are thread-safe.
 ///
-/// Production code uses the process-wide Registry::Global(); tests may
-/// instantiate private registries.
+/// Process-scoped code (journal, matcher, net server) records into
+/// Registry::Global(); each LinkageService owns a private registry, so
+/// several services in one process keep separate numbers, and exports
+/// merge the two scopes (MergeSnapshots).
 class Registry {
  public:
   Registry() = default;
@@ -187,6 +190,12 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
+
+/// One snapshot of two registries: `scoped`'s series merged into
+/// `base`, each kind still sorted by name (deterministic exporter
+/// output).  On a name present in both, `scoped`'s value is kept.
+Registry::Snapshot MergeSnapshots(Registry::Snapshot base,
+                                  const Registry::Snapshot& scoped);
 
 /// Records the scope's wall-clock duration, in microseconds, into a
 /// histogram on destruction.  `histogram` may be null (no-op) so call

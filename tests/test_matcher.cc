@@ -131,8 +131,9 @@ TEST(MatcherTest, Algorithm2DeduplicatesPerProbe) {
   Matcher matcher(&source, &store);
   MatchStats stats;
   std::vector<IdPair> out;
+  Matcher::Scratch scratch;
   matcher.MatchOne(MakeRecord(100, 16, {0}),
-                   MakeRecordThresholdClassifier(0), &out, &stats);
+                   MakeRecordThresholdClassifier(0), &out, &stats, &scratch);
   EXPECT_EQ(stats.candidate_occurrences, 4u);
   EXPECT_EQ(stats.comparisons, 2u);
   EXPECT_EQ(stats.dedup_skipped, 2u);
@@ -160,8 +161,9 @@ TEST(MatcherTest, UnknownIdsSkippedSafely) {
   Matcher matcher(&source, &store);
   MatchStats stats;
   std::vector<IdPair> out;
+  Matcher::Scratch scratch;
   matcher.MatchOne(MakeRecord(100, 16, {}),
-                   MakeRecordThresholdClassifier(0), &out, &stats);
+                   MakeRecordThresholdClassifier(0), &out, &stats, &scratch);
   EXPECT_EQ(stats.comparisons, 0u);
   EXPECT_TRUE(out.empty());
 }
@@ -175,8 +177,9 @@ TEST(MatcherTest, RepeatedUnknownIdsCountAsDedupSkipped) {
   Matcher matcher(&source, &store);
   MatchStats stats;
   std::vector<IdPair> out;
+  Matcher::Scratch scratch;
   matcher.MatchOne(MakeRecord(100, 16, {0}),
-                   MakeRecordThresholdClassifier(0), &out, &stats);
+                   MakeRecordThresholdClassifier(0), &out, &stats, &scratch);
   EXPECT_EQ(stats.candidate_occurrences, 3u);
   EXPECT_EQ(stats.comparisons, 0u);
   EXPECT_EQ(stats.dedup_skipped, 2u);
@@ -190,8 +193,9 @@ TEST(MatcherTest, NullStatsAccepted) {
   store.Add(MakeRecord(1, 16, {0}));
   Matcher matcher(&source, &store);
   std::vector<IdPair> out;
+  Matcher::Scratch scratch;
   matcher.MatchOne(MakeRecord(100, 16, {0}),
-                   MakeRecordThresholdClassifier(0), &out, nullptr);
+                   MakeRecordThresholdClassifier(0), &out, nullptr, &scratch);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].a_id, 1u);
   out = matcher.MatchAll({MakeRecord(100, 16, {0})},
@@ -207,8 +211,9 @@ TEST(MatcherTest, ThresholdClassifierFiltersByDistance) {
   Matcher matcher(&source, &store);
   MatchStats stats;
   std::vector<IdPair> out;
+  Matcher::Scratch scratch;
   matcher.MatchOne(MakeRecord(100, 16, {0, 1}),
-                   MakeRecordThresholdClassifier(2), &out, &stats);
+                   MakeRecordThresholdClassifier(2), &out, &stats, &scratch);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].a_id, 1u);
   EXPECT_EQ(out[0].b_id, 100u);

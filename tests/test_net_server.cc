@@ -374,12 +374,17 @@ TEST(NetServerTest, HttpEndpoints) {
   // Unknown target answers 404.
   EXPECT_NE(HttpGet(port, "/nope").find("404 Not Found"), std::string::npos);
 
-  // Telemetry endpoints expose the net metrics.
+  // Telemetry endpoints expose the net metrics and the service's own
+  // series (counters and latency histograms) in one merged view.
   const std::string metrics = HttpGet(port, "/metrics");
   EXPECT_NE(metrics.find("net_requests_total"), std::string::npos);
   EXPECT_NE(metrics.find("net_connections_accepted_total"), std::string::npos);
+  EXPECT_NE(metrics.find("service_queries_total"), std::string::npos);
+  EXPECT_NE(metrics.find("query_latency_us"), std::string::npos);
   const std::string stats = HttpGet(port, "/stats");
   EXPECT_NE(stats.find("net_requests_total"), std::string::npos);
+  EXPECT_NE(stats.find("service_queries_total"), std::string::npos);
+  EXPECT_NE(stats.find("query_latency_us"), std::string::npos);
 }
 
 TEST(NetServerTest, BinaryStatsCallReturnsTelemetryJson) {
@@ -391,6 +396,8 @@ TEST(NetServerTest, BinaryStatsCallReturnsTelemetryJson) {
   ASSERT_TRUE(client.value()->Stats(&json).ok());
   EXPECT_NE(json.find("net_requests_total"), std::string::npos);
   EXPECT_NE(json.find("service_records"), std::string::npos);
+  EXPECT_NE(json.find("service_queries_total"), std::string::npos);
+  EXPECT_NE(json.find("query_latency_us"), std::string::npos);
 }
 
 // An insert acknowledged over the wire must survive a crash: replaying

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -181,8 +182,19 @@ TEST(ServiceTest, SkippedRowsCountedInMetrics) {
   EXPECT_EQ(service.value()->metrics().skipped_rows, 3u);
 }
 
-TEST(ServiceTest, FillTelemetryExportsGaugesAndFunnelCounters) {
-  telemetry::Registry registry;  // private registry: gauge isolation
+/// The value of the series `name` in `series` (a name-sorted Snapshot
+/// list), or nullopt when it is absent.
+template <typename T>
+std::optional<T> SeriesValue(
+    const std::vector<std::pair<std::string, T>>& series,
+    const std::string& name) {
+  for (const auto& [series_name, value] : series) {
+    if (series_name == name) return value;
+  }
+  return std::nullopt;
+}
+
+TEST(ServiceTest, CollectTelemetryExportsGaugesAndFunnelCounters) {
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());
   Result<std::unique_ptr<LinkageService>> service =
@@ -194,40 +206,111 @@ TEST(ServiceTest, FillTelemetryExportsGaugesAndFunnelCounters) {
   std::vector<IdPair> out;
   ASSERT_TRUE(service.value()->Match(records[0], &out).ok());
 
-  service.value()->FillTelemetry(&registry);
-  EXPECT_EQ(registry.GetGauge("service_records")->Value(), 20.0);
-  EXPECT_GT(registry.GetGauge("lsh_tables")->Value(), 0.0);
+  const telemetry::Registry::Snapshot snap =
+      service.value()->CollectTelemetry();
+  const auto gauge = [&](const std::string& name) {
+    const std::optional<double> value = SeriesValue(snap.gauges, name);
+    EXPECT_TRUE(value.has_value()) << name;
+    return value.value_or(-1);
+  };
+  EXPECT_EQ(gauge("service_records"), 20.0);
+  EXPECT_GT(gauge("lsh_tables"), 0.0);
   // Per-table gauges exist for table 0 and the occupancy histogram
   // covers every bucket exactly once.
-  EXPECT_GT(registry
-                .GetGauge(telemetry::LabeledName("lsh_table_buckets",
-                                                 "table", "0"))
-                ->Value(),
+  EXPECT_GT(gauge(telemetry::LabeledName("lsh_table_buckets", "table", "0")),
             0.0);
   double occupied = 0;
   double buckets = 0;
   for (size_t i = 0; i < 16; ++i) {
-    occupied += registry
-                    .GetGauge(telemetry::LabeledName(
-                        "lsh_bucket_occupancy", "size_log2",
-                        std::to_string(i)))
-                    ->Value();
+    occupied += gauge(telemetry::LabeledName("lsh_bucket_occupancy",
+                                             "size_log2", std::to_string(i)));
   }
-  const double tables = registry.GetGauge("lsh_tables")->Value();
+  const double tables = gauge("lsh_tables");
   for (size_t t = 0; t < static_cast<size_t>(tables); ++t) {
-    buckets += registry
-                   .GetGauge(telemetry::LabeledName("lsh_table_buckets",
-                                                    "table",
-                                                    std::to_string(t)))
-                   ->Value();
+    buckets += gauge(telemetry::LabeledName("lsh_table_buckets", "table",
+                                            std::to_string(t)));
   }
   EXPECT_EQ(occupied, buckets);
 
-  // The match funnel lives in the global registry (resolved at Init).
+  // The match funnel and the latency histograms ride in the same view.
   const ServiceMetrics metrics = service.value()->metrics();
   EXPECT_GT(metrics.candidate_occurrences, 0u);
   EXPECT_GT(metrics.comparisons, 0u);
   EXPECT_GE(metrics.candidate_occurrences, metrics.matches);
+  EXPECT_EQ(SeriesValue(snap.counters, "service_candidates_total"),
+            metrics.candidate_occurrences);
+  const std::optional<telemetry::Histogram::Snapshot> latency =
+      SeriesValue(snap.histograms, "query_latency_us");
+  ASSERT_TRUE(latency.has_value());
+  EXPECT_EQ(latency->count, 1u);
+  // Each kind stays sorted by name after the merge with Global().
+  const auto by_name = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  EXPECT_TRUE(std::is_sorted(snap.counters.begin(), snap.counters.end(),
+                             by_name));
+  EXPECT_TRUE(std::is_sorted(snap.gauges.begin(), snap.gauges.end(), by_name));
+  EXPECT_TRUE(std::is_sorted(snap.histograms.begin(), snap.histograms.end(),
+                             by_name));
+}
+
+TEST(ServiceTest, TwoServicesInOneProcessExportTheirOwnCounters) {
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  Result<std::unique_ptr<LinkageService>> first =
+      LinkageService::Create(BaseConfig(gen.value().schema()));
+  Result<std::unique_ptr<LinkageService>> second =
+      LinkageService::Create(BaseConfig(gen.value().schema()));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+
+  // Different traffic on each: the first service inserts, matches,
+  // deletes, updates and compacts; the second only inserts and matches
+  // a little, and skips a row.
+  const std::vector<Record> records = GenerateRecords(gen.value(), 30, 21);
+  LinkageService& a = *first.value();
+  ASSERT_TRUE(a.InsertBatch(records).ok());
+  std::vector<IdPair> out;
+  for (size_t i = 0; i < 10; ++i) ASSERT_TRUE(a.Match(records[i], &out).ok());
+  ASSERT_TRUE(a.Delete(records[0].id).ok());
+  ASSERT_TRUE(a.Update(records[1]).ok());
+  ASSERT_TRUE(a.Compact().ok());
+  LinkageService& b = *second.value();
+  ASSERT_TRUE(b.Insert(records[2]).ok());
+  ASSERT_TRUE(b.MatchAndInsert(records[3], &out).ok());
+  b.RecordSkippedRows(2);
+
+  for (const LinkageService* service : {&a, &b}) {
+    const ServiceMetrics m = service->metrics();
+    const std::map<std::string, uint64_t> expected = {
+        {"service_inserts_total", m.inserts},
+        {"service_deletes_total", m.deletes},
+        {"service_updates_total", m.updates},
+        {"service_queries_total", m.queries},
+        {"service_candidates_total", m.candidate_occurrences},
+        {"service_comparisons_total", m.comparisons},
+        {"service_matches_total", m.matches},
+        {"service_restore_fallbacks_total", m.restore_fallbacks},
+        {"service_skipped_rows_total", m.skipped_rows},
+        {"compaction_runs_total", m.compactions},
+        {"compaction_reclaimed_total", m.compaction_reclaimed},
+    };
+    const telemetry::Registry::Snapshot snap = service->CollectTelemetry();
+    for (const auto& [name, value] : snap.counters) {
+      if (name.starts_with("service_") || name.starts_with("compaction_")) {
+        ASSERT_TRUE(expected.contains(name)) << name;
+      }
+    }
+    for (const auto& [name, value] : expected) {
+      EXPECT_EQ(SeriesValue(snap.counters, name), value) << name;
+    }
+  }
+  EXPECT_EQ(a.metrics().inserts, records.size());
+  EXPECT_EQ(a.metrics().queries, 10u);
+  EXPECT_EQ(a.metrics().compactions, 1u);
+  EXPECT_EQ(b.metrics().inserts, 2u);
+  EXPECT_EQ(b.metrics().queries, 1u);
+  EXPECT_EQ(b.metrics().skipped_rows, 2u);
 }
 
 TEST(ServiceTest, BatchMatchEqualsSerialMatch) {

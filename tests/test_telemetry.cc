@@ -198,6 +198,27 @@ TEST(RegistryTest, CollectIsSortedByName) {
   EXPECT_EQ(snap.counters[0].second, 2u);
 }
 
+TEST(RegistryTest, MergeSnapshotsInterleavesByNameAndScopedWins) {
+  Registry process;
+  process.GetCounter("b")->Add(1);
+  process.GetCounter("d")->Add(4);
+  process.GetGauge("g")->Set(1);
+  Registry scoped;
+  scoped.GetCounter("a")->Add(10);
+  scoped.GetCounter("c")->Add(30);
+  scoped.GetCounter("d")->Add(40);
+  scoped.GetHistogram("h")->Record(5);
+  const Registry::Snapshot merged =
+      MergeSnapshots(process.Collect(), scoped.Collect());
+  const std::vector<std::pair<std::string, uint64_t>> counters = {
+      {"a", 10}, {"b", 1}, {"c", 30}, {"d", 40}};
+  EXPECT_EQ(merged.counters, counters);
+  ASSERT_EQ(merged.gauges.size(), 1u);
+  EXPECT_EQ(merged.gauges[0].first, "g");
+  ASSERT_EQ(merged.histograms.size(), 1u);
+  EXPECT_EQ(merged.histograms[0].second.count, 1u);
+}
+
 TEST(RegistryTest, LabeledNameFormat) {
   EXPECT_EQ(LabeledName("lsh_table_buckets", "table", "3"),
             "lsh_table_buckets{table=\"3\"}");
@@ -230,7 +251,7 @@ Registry* GoldenRegistry() {
 
 TEST(ExporterTest, PrometheusTextGolden) {
   std::unique_ptr<Registry> registry(GoldenRegistry());
-  const std::string text = ToPrometheusText(*registry);
+  const std::string text = ToPrometheusText(registry->Collect());
 
   // One TYPE line per base name even with labeled variants present.
   EXPECT_NE(text.find("# TYPE requests_total counter\n"), std::string::npos);
@@ -258,7 +279,7 @@ TEST(ExporterTest, PrometheusTextGolden) {
 
 TEST(ExporterTest, JsonGolden) {
   std::unique_ptr<Registry> registry(GoldenRegistry());
-  const std::string json = ToJson(*registry);
+  const std::string json = ToJson(registry->Collect());
 
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"requests_total\": 3"), std::string::npos);
@@ -278,7 +299,7 @@ TEST(ExporterTest, JsonGolden) {
 
 TEST(ExporterTest, EmptyRegistryJsonIsStillAnObject) {
   Registry registry;
-  const std::string json = ToJson(registry);
+  const std::string json = ToJson(registry.Collect());
   EXPECT_NE(json.find("\"counters\": {}"), std::string::npos);
   EXPECT_NE(json.find("\"gauges\": {}"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\": {}"), std::string::npos);
@@ -288,13 +309,13 @@ TEST(ExporterTest, DumpJsonWritesAtomically) {
   std::unique_ptr<Registry> registry(GoldenRegistry());
   const std::string path =
       UniqueTempPath("telemetry_dump_test.json");
-  ASSERT_TRUE(DumpJson(*registry, path).ok());
+  ASSERT_TRUE(DumpJson(registry->Collect(), path).ok());
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream contents;
   contents << in.rdbuf();
-  EXPECT_EQ(contents.str(), ToJson(*registry));
+  EXPECT_EQ(contents.str(), ToJson(registry->Collect()));
   // The tmp staging file must not survive the rename commit.
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());

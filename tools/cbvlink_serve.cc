@@ -229,9 +229,8 @@ class StatsReporter {
                    queue_depth, drain_rate);
       last_queries = m.queries;
       if (!metrics_path_.empty()) {
-        service_->FillTelemetry();
         const Status st =
-            telemetry::DumpJson(telemetry::Registry::Global(), metrics_path_);
+            telemetry::DumpJson(service_->CollectTelemetry(), metrics_path_);
         if (!st.ok()) {
           std::fprintf(stderr, "[stats] metrics dump %s: %s\n",
                        metrics_path_.c_str(), st.ToString().c_str());
@@ -799,11 +798,9 @@ int RunMain(int argc, char** argv) {
                static_cast<unsigned long long>(metrics.matches),
                static_cast<unsigned long long>(metrics.comparisons),
                metrics.AvgQueryMicros());
-  {
-    const telemetry::Histogram::Snapshot latency =
-        telemetry::Registry::Global()
-            .GetHistogram("query_latency_us")
-            ->Snap();
+  const telemetry::Registry::Snapshot exported = service->CollectTelemetry();
+  for (const auto& [name, latency] : exported.histograms) {
+    if (name != "query_latency_us") continue;
     std::fprintf(stderr,
                  "query latency (us): p50=%.0f p90=%.0f p99=%.0f max=%llu\n",
                  latency.Quantile(0.50), latency.Quantile(0.90),
@@ -820,9 +817,7 @@ int RunMain(int argc, char** argv) {
   if (trace_sink != nullptr) DumpTraces(*trace_sink, args.trace_out);
 
   if (!args.metrics_out.empty()) {
-    service->FillTelemetry();
-    const Status dumped =
-        telemetry::DumpJson(telemetry::Registry::Global(), args.metrics_out);
+    const Status dumped = telemetry::DumpJson(exported, args.metrics_out);
     if (!dumped.ok()) {
       std::fprintf(stderr, "metrics %s: %s\n", args.metrics_out.c_str(),
                    dumped.ToString().c_str());
