@@ -354,18 +354,25 @@ void AttributeLevelBlocker::ForEachProbedBucket(
     FunctionRef<void(std::span<const RecordId>)> cb) const {
   for (size_t si : generating_) {
     const Structure& s = structures_[si];
-    for (size_t l = 0; l < s.L; ++l) {
-      if (s.kind == Structure::Kind::kAnd) {
-        const std::span<const RecordId> bucket =
-            s.tables[l].Get(CompoundKey(s, probe, l));
-        if (!bucket.empty()) cb(bucket);
-      } else {
-        for (size_t i = 0; i < s.predicates.size(); ++i) {
-          const std::span<const RecordId> bucket =
-              s.tables[i * s.L + l].Get(s.families[i].Key(probe, l));
-          if (!bucket.empty()) cb(bucket);
-        }
-      }
+    if (s.kind == Structure::Kind::kAnd) {
+      ProbeBuckets(
+          s.L,
+          [&](size_t l) {
+            return BucketProbe{&s.tables[l], CompoundKey(s, probe, l)};
+          },
+          cb);
+    } else {
+      // Group l, then predicate i: probe j = l * P + i.
+      const size_t P = s.predicates.size();
+      ProbeBuckets(
+          s.L * P,
+          [&](size_t j) {
+            const size_t l = j / P;
+            const size_t i = j % P;
+            return BucketProbe{&s.tables[i * s.L + l],
+                               s.families[i].Key(probe, l)};
+          },
+          cb);
     }
   }
 }

@@ -94,21 +94,20 @@ void RecordLevelBlocker::Insert(const EncodedRecord& record) {
 
 void RecordLevelBlocker::ForEachCandidate(
     const BitVector& probe, const std::function<void(RecordId)>& cb) const {
-  for (size_t l = 0; l < tables_.size(); ++l) {
-    for (RecordId id : tables_[l].Get(family_.Key(probe, l))) {
-      cb(id);
-    }
-  }
+  ForEachCandidateSpan(probe, [&cb](std::span<const RecordId> bucket) {
+    for (RecordId id : bucket) cb(id);
+  });
 }
 
 void RecordLevelBlocker::ForEachCandidateSpan(
     const BitVector& probe,
     FunctionRef<void(std::span<const RecordId>)> cb) const {
-  for (size_t l = 0; l < tables_.size(); ++l) {
-    const std::span<const RecordId> bucket =
-        tables_[l].Get(family_.Key(probe, l));
-    if (!bucket.empty()) cb(bucket);
-  }
+  ProbeBuckets(
+      tables_.size(),
+      [&](size_t l) {
+        return BucketProbe{&tables_[l], family_.Key(probe, l)};
+      },
+      cb);
 }
 
 size_t RecordLevelBlocker::TotalBuckets() const {

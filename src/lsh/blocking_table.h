@@ -14,10 +14,17 @@
 // way a bucket's Ids stay in insertion order, and Get() is one hash probe
 // returning a span over the arena.  The slot array is sized by distinct
 // keys, never by record count.
+//
+// A probe record's lookups are independent, so ProbeBuckets() runs them
+// in phases over chunks of kProbeChunk: compute every key, prefetch every
+// home slot, Get() every bucket and prefetch its first Id, then emit the
+// spans in probe order.  Each lookup's two cache misses (slot, then arena)
+// overlap with the other lookups' instead of running one after another.
 
 #ifndef CBVLINK_LSH_BLOCKING_TABLE_H_
 #define CBVLINK_LSH_BLOCKING_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -54,6 +61,13 @@ class BlockingTable {
       if (slot.size == 0) return {};
       if (slot.key == key) return {ids_.data() + slot.begin, slot.size};
     }
+  }
+
+  /// Hints the cache to load the home slot of `key`: the first slot Get()
+  /// reads.  No-op on a table with no slot array.
+  void PrefetchHome(uint64_t key) const {
+    if (slots_.empty()) return;
+    __builtin_prefetch(&slots_[Home(key)]);
   }
 
   /// Number of non-empty buckets.
@@ -139,6 +153,42 @@ class BlockingTable {
   size_t num_entries_ = 0;
   size_t max_bucket_size_ = 0;
 };
+
+/// One bucket lookup: `key` in `table`.
+struct BucketProbe {
+  const BlockingTable* table = nullptr;
+  uint64_t key = 0;
+};
+
+/// Lookups ProbeBuckets() keeps in flight at once.  Large enough to cover
+/// a C1 probe's 178 tables in three chunks, small enough that the chunk's
+/// stack arrays stay in L1.
+inline constexpr size_t kProbeChunk = 64;
+
+/// Invokes `cb` with the non-empty bucket of each probe_at(0), ...,
+/// probe_at(n - 1), in that order: exactly the spans a plain loop of
+/// Get() calls would emit, fetched in the phases the file comment
+/// describes.  `probe_at(j)` returns the j-th BucketProbe.
+template <typename ProbeAt>
+void ProbeBuckets(size_t n, const ProbeAt& probe_at,
+                  FunctionRef<void(std::span<const RecordId>)> cb) {
+  BucketProbe probes[kProbeChunk];
+  std::span<const RecordId> buckets[kProbeChunk];
+  for (size_t base = 0; base < n; base += kProbeChunk) {
+    const size_t count = std::min(kProbeChunk, n - base);
+    for (size_t j = 0; j < count; ++j) probes[j] = probe_at(base + j);
+    for (size_t j = 0; j < count; ++j) {
+      probes[j].table->PrefetchHome(probes[j].key);
+    }
+    for (size_t j = 0; j < count; ++j) {
+      buckets[j] = probes[j].table->Get(probes[j].key);
+      if (!buckets[j].empty()) __builtin_prefetch(buckets[j].data());
+    }
+    for (size_t j = 0; j < count; ++j) {
+      if (!buckets[j].empty()) cb(buckets[j]);
+    }
+  }
+}
 
 }  // namespace cbvlink
 

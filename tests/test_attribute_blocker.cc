@@ -8,6 +8,7 @@
 
 #include "src/blocking/matcher.h"
 #include "src/common/thread_pool.h"
+#include "tests/span_stream.h"
 
 namespace cbvlink {
 namespace {
@@ -365,6 +366,55 @@ TEST(AttributeLevelBlockerSpanTest, MultiStructureRuleKeepsFilteredPath) {
             per_id.stats.candidate_occurrences);
   EXPECT_EQ(spans.stats.comparisons, per_id.stats.comparisons);
   EXPECT_EQ(spans.stats.dedup_skipped, 0u);
+}
+
+TEST(AttributeLevelBlockerSpanTest, SpanStreamPinned) {
+  // The full span stream (Ids and bucket boundaries) of each
+  // single-structure shape, empty and indexed, pinned to digests captured
+  // at commit 96191af, before the bucket walk was phased into chunks of
+  // 64 probes.  Emission order is group l, then predicate i for an OR
+  // structure (tables[i * L + l]); any reordering changes the digest, and
+  // with it the matcher's funnel counters and pair order.
+  std::vector<EncodedRecord> a;
+  std::vector<EncodedRecord> b;
+  ClusteredData(&a, &b);
+  std::vector<BitVector> probes;
+  for (const EncodedRecord& r : b) probes.push_back(r.bits);
+
+  // A long key on the 68-bit segment: that predicate alone needs L > 64.
+  AttributeBlockerOptions long_key = DefaultOptions();
+  long_key.attribute_K[2] = 30;
+  struct Case {
+    const char* name;
+    Rule rule;
+    AttributeBlockerOptions options;
+    bool crosses_chunk;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"C1 AND",
+       Rule::And({Rule::Pred(0, 4), Rule::Pred(1, 4), Rule::Pred(2, 8)}),
+       DefaultOptions(), true, 0xb82fbd754b9023bfULL},
+      {"OR of predicates", Rule::Or({Rule::Pred(0, 4), Rule::Pred(1, 4)}),
+       DefaultOptions(), false, 0xcd8e593a6a293793ULL},
+      {"L > 64", Rule::Pred(2, 8), long_key, true, 0xa4bd142b42ce4ac4ULL},
+  };
+  // 30 probes, each with no span: every table of an empty blocker has no
+  // slot array, and the probe path must not hash into it.
+  constexpr uint64_t kEmptyStream = 0xe7f6c4b09523c5e5ULL;
+  for (const Case& c : cases) {
+    Rng rng(54);
+    AttributeLevelBlocker blocker =
+        AttributeLevelBlocker::Create(c.rule, NcvrLayout(), c.options, rng)
+            .value();
+    ASSERT_EQ(blocker.num_structures(), 1u) << c.name;
+    if (c.crosses_chunk) {
+      EXPECT_GT(blocker.structure_L(0), kProbeChunk) << c.name;
+    }
+    EXPECT_EQ(SpanStreamDigest(blocker, probes), kEmptyStream) << c.name;
+    blocker.Index(a);
+    EXPECT_EQ(SpanStreamDigest(blocker, probes), c.digest) << c.name;
+  }
 }
 
 // --- BulkInsert determinism: tables and retained vectors identical to

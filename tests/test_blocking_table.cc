@@ -126,6 +126,39 @@ TEST(BlockingTableTest, GetOnEmptyAndAbsentKey) {
   EXPECT_TRUE(table.Get(~uint64_t{0}).empty());
 }
 
+TEST(BlockingTableTest, ProbeBucketsEmitsGetOrderAcrossChunks) {
+  // 150 probes (three chunks) alternating between a default table and a
+  // filled one, over present and absent keys: the emitted spans are the
+  // non-empty Get() results, in probe order.  The default table has no
+  // slot array, where hashing a key would shift a 64-bit value by 64.
+  const BlockingTable empty;
+  BlockingTable filled;
+  for (uint64_t key = 0; key < 40; ++key) {
+    for (RecordId id = 0; id <= key % 3; ++id) {
+      filled.Insert(key, key * 10 + id);
+    }
+  }
+  const auto probe_at = [&](size_t j) {
+    return BucketProbe{j % 2 == 0 ? &empty : &filled, (j * 7) % 60};
+  };
+  constexpr size_t kProbes = 150;
+  static_assert(kProbes > 2 * kProbeChunk);
+  std::vector<std::vector<RecordId>> expected;
+  for (size_t j = 0; j < kProbes; ++j) {
+    const BucketProbe p = probe_at(j);
+    const std::span<const RecordId> bucket = p.table->Get(p.key);
+    if (!bucket.empty()) expected.emplace_back(bucket.begin(), bucket.end());
+  }
+  std::vector<std::vector<RecordId>> emitted;
+  ProbeBuckets(kProbes, probe_at, [&](std::span<const RecordId> bucket) {
+    emitted.emplace_back(bucket.begin(), bucket.end());
+  });
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(emitted, expected);
+
+  ProbeBuckets(0, probe_at, [](std::span<const RecordId>) { FAIL(); });
+}
+
 TEST(BlockingTableTest, EqualityIgnoresLayoutButNotIdOrder) {
   BlockingTable x;
   BlockingTable y;

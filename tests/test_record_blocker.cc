@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
+#include "tests/span_stream.h"
 
 namespace cbvlink {
 namespace {
@@ -248,6 +249,48 @@ TEST(RecordLevelBlockerBulkInsertTest, AppendsAfterPriorInserts) {
   parallel.BulkInsert(first, &pool);
   parallel.BulkInsert(second, &pool);
   ExpectSameTables(parallel, serial, 3);
+}
+
+TEST(RecordLevelBlockerTest, SpanStreamPinned) {
+  // The full span stream (Ids and bucket boundaries), pinned to digests
+  // captured at commit 96191af, before the bucket walk was phased into
+  // chunks of 64 probes: the paper's PL shape (L = 6) and L = 70, which
+  // crosses a chunk boundary.  Spans come in group order; any reordering
+  // changes the digest, and with it the matcher's funnel counters and
+  // pair order.
+  // Clustered data: near-copies of 40 base records, probed with
+  // perturbations of them, so buckets hold several Ids.
+  std::vector<EncodedRecord> records = RandomRecords(40, 120, 61);
+  Rng flips(62);
+  for (RecordId id = 40; id < 200; ++id) {
+    EncodedRecord r = records[id % 40];
+    r.id = id;
+    for (size_t f = 0; f < id % 4; ++f) r.bits.Set(flips.Below(120));
+    records.push_back(std::move(r));
+  }
+  std::vector<BitVector> probes;
+  for (size_t i = 0; i < 40; ++i) {
+    BitVector bv = records[i].bits;
+    for (size_t f = 0; f < i % 3; ++f) bv.Set(flips.Below(120));
+    probes.push_back(std::move(bv));
+  }
+  struct Case {
+    size_t K;
+    size_t L;
+    uint64_t digest;
+  };
+  // 40 probes, each with no span.
+  constexpr uint64_t kEmptyStream = 0xf05e74aa1eda9c25ULL;
+  for (const Case& c : {Case{30, 6, 0x5d82fbd3361c15daULL},
+                        Case{8, 70, 0xbd3d7afb3f3ff18aULL}}) {
+    Rng rng(63);
+    RecordLevelBlocker blocker =
+        RecordLevelBlocker::CreateWithL(120, c.K, c.L, rng).value();
+    EXPECT_EQ(SpanStreamDigest(blocker, probes), kEmptyStream)
+        << "empty, L = " << c.L;
+    blocker.Index(records);
+    EXPECT_EQ(SpanStreamDigest(blocker, probes), c.digest) << "L = " << c.L;
+  }
 }
 
 }  // namespace
