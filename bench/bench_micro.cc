@@ -7,8 +7,10 @@
 
 #include "src/common/bitvector.h"
 #include "src/common/random.h"
+#include "src/datagen/generators.h"
 #include "src/embedding/cvector.h"
 #include "src/embedding/bloom_filter.h"
+#include "src/embedding/record_encoder.h"
 #include "src/lsh/hamming_lsh.h"
 #include "src/metrics/edit_distance.h"
 #include "src/text/qgram.h"
@@ -57,6 +59,25 @@ void BM_CVectorEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CVectorEncode);
+
+void BM_CVectorRecordEncode(benchmark::State& state) {
+  const NcvrGenerator generator = NcvrGenerator::Create().value();
+  Rng rng(4);
+  std::vector<Record> records;
+  for (RecordId id = 0; id < 1024; ++id) {
+    records.push_back(generator.Generate(id, rng));
+  }
+  const CVectorRecordEncoder encoder =
+      CVectorRecordEncoder::Create(generator.schema(), {5.1, 5.0, 20.0, 7.2},
+                                   rng)
+          .value();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encoder.Encode(records[i++ % records.size()]));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CVectorRecordEncode);
 
 void BM_BloomEncode(benchmark::State& state) {
   Result<QGramExtractor> extractor =

@@ -21,14 +21,15 @@ namespace cbvlink {
 namespace {
 
 /// Encodes a record as concatenated full attribute-level q-gram vectors.
-BitVector FullRecordVector(const Record& record, const Schema& schema,
-                           const std::vector<QGramVectorEncoder>& encoders) {
-  BitVector bits;
+EncodedRecord FullRecord(const Record& record, size_t total_bits,
+                         const std::vector<QGramVectorEncoder>& encoders) {
+  EncodedRecord out{record.id, BitVector(total_bits)};
+  size_t offset = 0;
   for (size_t i = 0; i < encoders.size(); ++i) {
-    bits.Append(encoders[i].Encode(
-        Normalize(record.fields[i], *schema.attributes[i].alphabet)));
+    encoders[i].EncodeInto(record.fields[i], &out.bits, offset);
+    offset += encoders[i].vector_size();
   }
-  return bits;
+  return out;
 }
 
 void Run() {
@@ -90,16 +91,12 @@ void Run() {
     enc_a.reserve(data.value().a.size());
     enc_b.reserve(data.value().b.size());
     for (const Record& r : data.value().a) {
-      enc_a.push_back(
-          use_full
-              ? EncodedRecord{r.id, FullRecordVector(r, schema, full_encoders)}
-              : compact.value().Encode(r).value());
+      enc_a.push_back(use_full ? FullRecord(r, full_bits, full_encoders)
+                                : compact.value().Encode(r).value());
     }
     for (const Record& r : data.value().b) {
-      enc_b.push_back(
-          use_full
-              ? EncodedRecord{r.id, FullRecordVector(r, schema, full_encoders)}
-              : compact.value().Encode(r).value());
+      enc_b.push_back(use_full ? FullRecord(r, full_bits, full_encoders)
+                                : compact.value().Encode(r).value());
     }
 
     const size_t bits = use_full ? full_bits : compact.value().total_bits();

@@ -87,9 +87,8 @@ Result<std::vector<IdPair>> CanopyCandidates(const std::vector<Record>& a,
     entry.from_a = from_a;
     std::vector<uint64_t> merged;
     for (const std::string& field : r.fields) {
-      const std::vector<uint64_t> set = extractor.value().IndexSet(
-          Normalize(field, Alphabet::Alphanumeric()));
-      merged.insert(merged.end(), set.begin(), set.end());
+      extractor.value().ForEachIndex(
+          field, [&](uint64_t ind) { merged.push_back(ind); });
     }
     std::sort(merged.begin(), merged.end());
     merged.erase(std::unique(merged.begin(), merged.end()), merged.end());

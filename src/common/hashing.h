@@ -51,7 +51,10 @@ class PairwiseHash {
 
   /// Applies the hash.
   uint64_t operator()(uint64_t x) const {
-    return ((a_ * (x % kHashPrime) + b_) % kHashPrime) % m_;
+    const uint64_t v = (a_ * (x % kHashPrime) + b_) % kHashPrime;
+    // v < P < 2^32, so v mod m is a 32-bit division whenever m < P.
+    if (m_ >= kHashPrime) return v;
+    return static_cast<uint32_t>(v) % static_cast<uint32_t>(m_);
   }
 
   uint64_t a() const { return a_; }
@@ -76,13 +79,19 @@ class BloomHashFamily {
   size_t k() const { return k_; }
   size_t num_bits() const { return num_bits_; }
 
-  /// Appends the k positions for element `x` to `out`.
-  void Positions(uint64_t x, std::vector<size_t>* out) const {
+  /// Calls `f(position)` for each of the k positions of element `x`.
+  template <typename F>
+  void ForEachPosition(uint64_t x, F&& f) const {
     const uint64_t h1 = Mix64(x ^ seed_);
     const uint64_t h2 = Mix64(x + 0x9e3779b97f4a7c15ULL + seed_) | 1;
     for (size_t i = 0; i < k_; ++i) {
-      out->push_back(static_cast<size_t>((h1 + i * h2) % num_bits_));
+      f(static_cast<size_t>((h1 + i * h2) % num_bits_));
     }
+  }
+
+  /// Appends the k positions for element `x` to `out`.
+  void Positions(uint64_t x, std::vector<size_t>* out) const {
+    ForEachPosition(x, [out](size_t pos) { out->push_back(pos); });
   }
 
  private:

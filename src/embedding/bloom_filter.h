@@ -33,7 +33,7 @@ struct BloomFilterOptions {
   uint64_t seed = 0x62664861736833ULL;  // "BfHash3"
 };
 
-/// Encodes normalized strings as fixed-size Bloom filters.
+/// Encodes strings as fixed-size Bloom filters.
 class BloomFilterEncoder {
  public:
   /// Creates an encoder.  Returns InvalidArgument for zero sizes.
@@ -43,8 +43,18 @@ class BloomFilterEncoder {
   size_t vector_size() const { return family_.num_bits(); }
   size_t num_hashes() const { return family_.k(); }
 
-  /// Encodes one normalized attribute value.
-  BitVector Encode(std::string_view normalized) const;
+  /// Encodes one attribute value (raw or normalized).
+  BitVector Encode(std::string_view text) const;
+
+  /// Sets bit `offset` + h_i(x) of `out` for each of the k hashes of each
+  /// q-gram index x of `text` (raw or normalized).  Requires
+  /// offset + vector_size() <= out->size().
+  void EncodeInto(std::string_view text, BitVector* out, size_t offset) const {
+    extractor_.ForEachIndex(text, [&](uint64_t ind) {
+      family_.ForEachPosition(ind,
+                              [&](size_t pos) { out->Set(offset + pos); });
+    });
+  }
 
   const QGramExtractor& extractor() const { return extractor_; }
 

@@ -18,11 +18,9 @@ Result<CVectorEncoder> CVectorEncoder::CreateWithSize(QGramExtractor extractor,
   return CVectorEncoder(std::move(extractor), PairwiseHash::Random(rng, m));
 }
 
-BitVector CVectorEncoder::Encode(std::string_view normalized) const {
+BitVector CVectorEncoder::Encode(std::string_view text) const {
   BitVector bv(vector_size());
-  for (uint64_t ind : extractor_.IndexSet(normalized)) {
-    bv.Set(static_cast<size_t>(hash_(ind)));
-  }
+  EncodeInto(text, &bv, 0);
   return bv;
 }
 

@@ -37,9 +37,19 @@ class CVectorEncoder {
   /// The c-vector size m (m_opt when derived from Theorem 1).
   size_t vector_size() const { return static_cast<size_t>(hash_.range()); }
 
-  /// Encodes one normalized attribute value: bit g(x) set for each
-  /// x in U_s.
-  BitVector Encode(std::string_view normalized) const;
+  /// Encodes one attribute value (raw or normalized): bit g(x) set for
+  /// each x in U_s.
+  BitVector Encode(std::string_view text) const;
+
+  /// Sets bit `offset` + g(x) of `out` for each q-gram index x of `text`
+  /// (raw or normalized) — one pass, no intermediate set: setting a bit
+  /// is idempotent, so repeated q-grams need no de-duplication.  Requires
+  /// offset + vector_size() <= out->size().
+  void EncodeInto(std::string_view text, BitVector* out, size_t offset) const {
+    extractor_.ForEachIndex(text, [&](uint64_t ind) {
+      out->Set(offset + static_cast<size_t>(hash_(ind)));
+    });
+  }
 
   const QGramExtractor& extractor() const { return extractor_; }
   const PairwiseHash& hash() const { return hash_; }

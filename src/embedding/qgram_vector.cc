@@ -18,11 +18,9 @@ Result<QGramVectorEncoder> QGramVectorEncoder::Create(
                             static_cast<size_t>(space));
 }
 
-BitVector QGramVectorEncoder::Encode(std::string_view normalized) const {
+BitVector QGramVectorEncoder::Encode(std::string_view text) const {
   BitVector bv(vector_size_);
-  for (uint64_t ind : extractor_.IndexSet(normalized)) {
-    bv.Set(static_cast<size_t>(ind));
-  }
+  EncodeInto(text, &bv, 0);
   return bv;
 }
 

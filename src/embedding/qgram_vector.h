@@ -17,7 +17,7 @@
 
 namespace cbvlink {
 
-/// Encodes normalized strings as full q-gram vectors of |S|^q bits.
+/// Encodes strings as full q-gram vectors of |S|^q bits.
 class QGramVectorEncoder {
  public:
   /// Creates an encoder over the extractor's alphabet and q.  Returns
@@ -29,8 +29,16 @@ class QGramVectorEncoder {
   /// The vector size m = |S|^q.
   size_t vector_size() const { return vector_size_; }
 
-  /// Encodes one normalized attribute value.
-  BitVector Encode(std::string_view normalized) const;
+  /// Encodes one attribute value (raw or normalized).
+  BitVector Encode(std::string_view text) const;
+
+  /// Sets bit `offset` + F(gr) of `out` for each q-gram gr of `text` (raw
+  /// or normalized).  Requires offset + vector_size() <= out->size().
+  void EncodeInto(std::string_view text, BitVector* out, size_t offset) const {
+    extractor_.ForEachIndex(text, [&](uint64_t ind) {
+      out->Set(offset + static_cast<size_t>(ind));
+    });
+  }
 
   const QGramExtractor& extractor() const { return extractor_; }
 

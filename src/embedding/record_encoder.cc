@@ -53,6 +53,26 @@ Result<std::vector<EncodedRecord>> EncodeAllImpl(
   return out;
 }
 
+/// Shared one-pass Encode: one record-width vector, each attribute
+/// encoder writing its bits at its layout offset.
+template <typename AttributeEncoder>
+Result<EncodedRecord> EncodeRecordImpl(
+    const std::vector<AttributeEncoder>& encoders, const RecordLayout& layout,
+    const Record& record) {
+  if (record.fields.size() != encoders.size()) {
+    return Status::InvalidArgument(
+        StrFormat("record %llu has %zu fields, schema expects %zu",
+                  static_cast<unsigned long long>(record.id),
+                  record.fields.size(), encoders.size()));
+  }
+  EncodedRecord out{record.id, BitVector(layout.total_bits())};
+  for (size_t i = 0; i < encoders.size(); ++i) {
+    encoders[i].EncodeInto(record.fields[i], &out.bits,
+                           layout.segment(i).offset);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<double> EstimateExpectedQGrams(const Schema& schema,
@@ -63,13 +83,14 @@ std::vector<double> EstimateExpectedQGrams(const Schema& schema,
     if (record.fields.size() < schema.num_attributes()) continue;
     for (size_t i = 0; i < schema.num_attributes(); ++i) {
       const AttributeSpec& spec = schema.attributes[i];
-      const std::string normalized =
-          Normalize(record.fields[i], *spec.alphabet);
-      // CountGrams needs only the normalized length; build a throwaway
-      // extractor-free count matching QGramExtractor::CountGrams.
+      // The count needs only the normalized length (the formula of
+      // QGramExtractor::CountGrams), so count the bytes Normalize keeps.
+      size_t normalized = 0;
+      for (char c : record.fields[i]) {
+        normalized += spec.alphabet->NormalizedOrder(c) >= 0 ? 1 : 0;
+      }
       const size_t padded_len =
-          normalized.empty() ? 0
-                             : normalized.size() + (spec.qgram.pad ? 2 : 0);
+          normalized == 0 ? 0 : normalized + (spec.qgram.pad ? 2 : 0);
       const size_t grams =
           padded_len < spec.qgram.q ? 0 : padded_len - spec.qgram.q + 1;
       sums[i] += static_cast<double>(grams);
@@ -113,19 +134,7 @@ Result<CVectorRecordEncoder> CVectorRecordEncoder::Create(
 
 Result<EncodedRecord> CVectorRecordEncoder::Encode(
     const Record& record) const {
-  if (record.fields.size() != schema_.num_attributes()) {
-    return Status::InvalidArgument(
-        StrFormat("record %llu has %zu fields, schema expects %zu",
-                  static_cast<unsigned long long>(record.id),
-                  record.fields.size(), schema_.num_attributes()));
-  }
-  EncodedRecord out;
-  out.id = record.id;
-  out.bits = BitVector();  // grown by Append below
-  for (size_t i = 0; i < encoders_.size(); ++i) {
-    out.bits.Append(EncodeAttribute(i, record.fields[i]));
-  }
-  return out;
+  return EncodeRecordImpl(encoders_, layout_, record);
 }
 
 Result<std::vector<EncodedRecord>> CVectorRecordEncoder::EncodeAll(
@@ -136,8 +145,7 @@ Result<std::vector<EncodedRecord>> CVectorRecordEncoder::EncodeAll(
 
 BitVector CVectorRecordEncoder::EncodeAttribute(
     size_t attr, std::string_view raw_value) const {
-  const AttributeSpec& spec = schema_.attributes[attr];
-  return encoders_[attr].Encode(Normalize(raw_value, *spec.alphabet));
+  return encoders_[attr].Encode(raw_value);
 }
 
 Result<BloomRecordEncoder> BloomRecordEncoder::Create(
@@ -168,20 +176,7 @@ Result<std::vector<EncodedRecord>> BloomRecordEncoder::EncodeAll(
 }
 
 Result<EncodedRecord> BloomRecordEncoder::Encode(const Record& record) const {
-  if (record.fields.size() != schema_.num_attributes()) {
-    return Status::InvalidArgument(
-        StrFormat("record %llu has %zu fields, schema expects %zu",
-                  static_cast<unsigned long long>(record.id),
-                  record.fields.size(), schema_.num_attributes()));
-  }
-  EncodedRecord out;
-  out.id = record.id;
-  for (size_t i = 0; i < encoders_.size(); ++i) {
-    const AttributeSpec& spec = schema_.attributes[i];
-    out.bits.Append(
-        encoders_[i].Encode(Normalize(record.fields[i], *spec.alphabet)));
-  }
-  return out;
+  return EncodeRecordImpl(encoders_, layout_, record);
 }
 
 }  // namespace cbvlink

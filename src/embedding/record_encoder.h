@@ -94,8 +94,10 @@ class CVectorRecordEncoder {
       const Schema& schema, const std::vector<double>& expected_qgrams,
       Rng& rng, const OptimalSizeOptions& options = {});
 
-  /// Encodes one record.  Returns InvalidArgument when the record has a
-  /// different field count than the schema.
+  /// Encodes one record into one total_bits() vector, each attribute's
+  /// c-vector written in place at its layout offset.  Returns
+  /// InvalidArgument when the record has a different field count than the
+  /// schema.
   Result<EncodedRecord> Encode(const Record& record) const;
 
   /// Batch Encode: out[i] = Encode(records[i]), sharded over `pool` when
@@ -118,6 +120,11 @@ class CVectorRecordEncoder {
                            size_t attr) const {
     const RecordLayout::Segment& seg = layout_.segment(attr);
     return a.HammingDistanceRange(b, seg.offset, seg.size);
+  }
+
+  /// The c-vector encoder of attribute `attr` (its hash g and extractor).
+  const CVectorEncoder& attribute_encoder(size_t attr) const {
+    return encoders_[attr];
   }
 
   const Schema& schema() const { return schema_; }

@@ -7,7 +7,6 @@
 #include "src/lsh/blocking_table.h"
 #include "src/lsh/minhash_lsh.h"
 #include "src/metrics/jaccard.h"
-#include "src/text/normalize.h"
 
 namespace cbvlink {
 
@@ -16,13 +15,11 @@ namespace {
 /// The record-level bigram index set: the union of every field's bigrams
 /// in one shared space — HARRA's single-vector representation.
 std::vector<uint64_t> RecordIndexSet(const Record& record,
-                                     const QGramExtractor& extractor,
-                                     const Alphabet& alphabet) {
+                                     const QGramExtractor& extractor) {
   std::vector<uint64_t> merged;
   for (const std::string& field : record.fields) {
-    const std::vector<uint64_t> indexes =
-        extractor.IndexSet(Normalize(field, alphabet));
-    merged.insert(merged.end(), indexes.begin(), indexes.end());
+    extractor.ForEachIndex(field,
+                           [&](uint64_t ind) { merged.push_back(ind); });
   }
   std::sort(merged.begin(), merged.end());
   merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
@@ -63,8 +60,7 @@ Result<LinkageResult> HarraLinker::Link(const std::vector<Record>& a,
                              std::vector<std::vector<uint64_t>>& sets) {
     const auto fill = [&](size_t, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
-        sets[i] =
-            RecordIndexSet(records[i], extractor.value(), *config_.alphabet);
+        sets[i] = RecordIndexSet(records[i], extractor.value());
       }
     };
     if (ctx.pool() == nullptr) {

@@ -52,6 +52,14 @@ class Alphabet {
   /// True iff `c` is a symbol of this alphabet.
   bool Contains(char c) const { return Order(c) >= 0; }
 
+  /// The order of `c` after Normalize()'s rule — ASCII letters fold to
+  /// upper case, the padding character and out-of-alphabet bytes are
+  /// dropped — or -1 if Normalize() drops `c`.
+  int NormalizedOrder(char c) const {
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+    return c == kPadChar ? -1 : Order(c);
+  }
+
   /// The symbols, in order.
   const std::string& symbols() const { return symbols_; }
 

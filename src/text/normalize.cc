@@ -6,9 +6,8 @@ std::string Normalize(std::string_view raw, const Alphabet& alphabet) {
   std::string out;
   out.reserve(raw.size());
   for (char c : raw) {
-    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
-    if (c == kPadChar) continue;  // reserved for the extractor's padding
-    if (alphabet.Contains(c)) out.push_back(c);
+    const int order = alphabet.NormalizedOrder(c);
+    if (order >= 0) out.push_back(alphabet.symbols()[order]);
   }
   return out;
 }

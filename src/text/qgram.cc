@@ -15,16 +15,21 @@ Result<QGramExtractor> QGramExtractor::Create(const Alphabet& alphabet,
     return Status::InvalidArgument(
         "padding requested but alphabet lacks the padding symbol '_'");
   }
+  if (alphabet.size() == 0) {
+    return Status::InvalidArgument("alphabet has no symbols");
+  }
   // Guard |S|^q against overflow: 64 bits comfortably hold every practical
   // configuration (q <= 12 even for the 39-symbol alphabet).
   uint64_t space = 1;
+  uint64_t lead_weight = 1;
   for (size_t i = 0; i < options.q; ++i) {
     if (space > UINT64_MAX / alphabet.size()) {
       return Status::OutOfRange("|S|^q does not fit in 64 bits");
     }
+    lead_weight = space;
     space *= alphabet.size();
   }
-  return QGramExtractor(alphabet, options, space);
+  return QGramExtractor(alphabet, options, space, lead_weight);
 }
 
 std::string QGramExtractor::Padded(std::string_view normalized) const {
@@ -68,28 +73,10 @@ Result<uint64_t> QGramExtractor::GramIndex(std::string_view gram) const {
   return ind;
 }
 
-std::vector<uint64_t> QGramExtractor::IndexSet(
-    std::string_view normalized) const {
+std::vector<uint64_t> QGramExtractor::IndexSet(std::string_view text) const {
   std::vector<uint64_t> indexes;
-  if (normalized.empty()) return indexes;
-  const std::string padded = Padded(normalized);
-  if (padded.size() < options_.q) return indexes;
-  indexes.reserve(padded.size() - options_.q + 1);
-  for (size_t i = 0; i + options_.q <= padded.size(); ++i) {
-    // Characters are guaranteed in-alphabet after Normalize(); compute the
-    // base-|S| index inline to avoid per-gram allocation.
-    uint64_t ind = 0;
-    bool valid = true;
-    for (size_t j = 0; j < options_.q; ++j) {
-      const int order = alphabet_->Order(padded[i + j]);
-      if (order < 0) {
-        valid = false;
-        break;
-      }
-      ind = ind * alphabet_->size() + static_cast<uint64_t>(order);
-    }
-    if (valid) indexes.push_back(ind);
-  }
+  indexes.reserve(text.size() + 2);  // >= the gram count, pads included
+  ForEachIndex(text, [&](uint64_t ind) { indexes.push_back(ind); });
   std::sort(indexes.begin(), indexes.end());
   indexes.erase(std::unique(indexes.begin(), indexes.end()), indexes.end());
   return indexes;

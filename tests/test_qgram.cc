@@ -112,6 +112,50 @@ TEST(QGramExtractorTest, CreateRejectsOverflowingSpace) {
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
 }
 
+TEST(QGramExtractorTest, CreateRejectsEmptyAlphabet) {
+  const Alphabet empty("");
+  Result<QGramExtractor> r =
+      QGramExtractor::Create(empty, {.q = 2, .pad = false});
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+std::vector<uint64_t> WalkedIndexes(const QGramExtractor& e,
+                                    std::string_view text) {
+  std::vector<uint64_t> indexes;
+  e.ForEachIndex(text, [&](uint64_t ind) { indexes.push_back(ind); });
+  return indexes;
+}
+
+TEST(QGramExtractorTest, ForEachIndexVisitsEveryGramInOrderWithRepeats) {
+  const QGramExtractor e = MakeExtractor(Alphabet::UppercasePadded(), 2, true);
+  std::vector<uint64_t> expected;
+  for (const std::string& gram : e.Grams("JOHNJOHN")) {
+    expected.push_back(e.GramIndex(gram).value());
+  }
+  ASSERT_EQ(expected.size(), 9u);  // _J JO OH HN NJ JO OH HN N_
+  EXPECT_EQ(WalkedIndexes(e, "JOHNJOHN"), expected);
+  // Raw text normalizes on the fly: case folds, '_' and '-' drop.
+  EXPECT_EQ(WalkedIndexes(e, "Jo_hN-john"), expected);
+  EXPECT_EQ(WalkedIndexes(e, "JOHNJOHN").size(), e.CountGrams("JOHNJOHN"));
+}
+
+TEST(QGramExtractorTest, ForEachIndexSlidesPastDroppedBytes) {
+  const QGramExtractor e = MakeExtractor(Alphabet::Uppercase(), 3, false);
+  EXPECT_EQ(WalkedIndexes(e, "a-b_c d!"),
+            (std::vector<uint64_t>{e.GramIndex("ABC").value(),
+                                   e.GramIndex("BCD").value()}));
+  EXPECT_TRUE(WalkedIndexes(e, "a.b").empty());  // shorter than q
+  EXPECT_TRUE(WalkedIndexes(e, "").empty());
+  EXPECT_TRUE(WalkedIndexes(e, "\x80\xff 123").empty());
+}
+
+TEST(QGramExtractorTest, ForEachIndexLongQOverOneSymbol) {
+  const Alphabet one("A");
+  const QGramExtractor e = MakeExtractor(one, 5, false);
+  EXPECT_EQ(WalkedIndexes(e, "aAa.aaAa"), (std::vector<uint64_t>{0, 0, 0}));
+}
+
 TEST(QGramExtractorTest, SubstituteChangesAtMost2qGrams) {
   // Property behind Section 5.1: one interior substitution changes at
   // most q bigrams in each string, so at most 2q differing indexes.

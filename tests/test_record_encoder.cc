@@ -60,6 +60,30 @@ TEST(EstimateExpectedQGramsTest, SkipsShortRecords) {
   EXPECT_DOUBLE_EQ(means[0], 3.0);
 }
 
+TEST(EstimateExpectedQGramsTest, CountsRawValuesAsNormalized) {
+  // Lowercase folds, '_' / punctuation / bytes >= 0x80 drop; the expected
+  // means are the gram counts of the Normalize()d strings.
+  Schema schema;
+  schema.attributes = {
+      {"Padded", &Alphabet::UppercasePadded(), {.q = 2, .pad = true}},
+      {"Trigrams", &Alphabet::Alphanumeric(), {.q = 3, .pad = false}},
+      {"Unigrams", &Alphabet::Uppercase(), {.q = 1, .pad = false}},
+  };
+  const std::vector<Record> sample = {
+      // ONEILSMITH -> 11 padded bigrams; "123 MAIN ST" -> 9; JOS -> 3.
+      {0, {"o'neil_smith", "123 main st.", "Jos\xc3\xa9"}},
+      // "" -> 0; ABC -> 1; "" -> 0.
+      {1, {"__", "a_b-c", "\xff\xfe"}},
+      // X -> 2 padded bigrams; "" -> 0; ZZTOP -> 5.
+      {2, {"x", "\xc3\xa9", "zz top"}},
+  };
+  const std::vector<double> means = EstimateExpectedQGrams(schema, sample);
+  ASSERT_EQ(means.size(), 3u);
+  EXPECT_DOUBLE_EQ(means[0], 13.0 / 3.0);
+  EXPECT_DOUBLE_EQ(means[1], 10.0 / 3.0);
+  EXPECT_DOUBLE_EQ(means[2], 8.0 / 3.0);
+}
+
 TEST(CVectorRecordEncoderTest, Table3SizesAndLayout) {
   Rng rng(1);
   Result<CVectorRecordEncoder> encoder = CVectorRecordEncoder::Create(

@@ -103,17 +103,14 @@ int RunMain(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<EncodedRecord> encoded;
-  encoded.reserve(dataset.value().records.size());
-  for (const Record& record : dataset.value().records) {
-    Result<EncodedRecord> enc = encoder.value().Encode(record);
-    if (!enc.ok()) {
-      std::fprintf(stderr, "%s\n", enc.status().ToString().c_str());
-      return 1;
-    }
-    encoded.push_back(std::move(enc).value());
+  Result<std::vector<EncodedRecord>> encoded =
+      encoder.value().EncodeAll(dataset.value().records);
+  if (!encoded.ok()) {
+    std::fprintf(stderr, "%s\n", encoded.status().ToString().c_str());
+    return 1;
   }
-  const Status write_status = WriteEncodedRecordsToFile(encoded, out_path);
+  const Status write_status =
+      WriteEncodedRecordsToFile(encoded.value(), out_path);
   if (!write_status.ok()) {
     std::fprintf(stderr, "%s\n", write_status.ToString().c_str());
     return 1;
@@ -121,7 +118,7 @@ int RunMain(int argc, char** argv) {
   std::fprintf(stderr,
                "encoded %zu records at %zu bits each into %s "
                "(attribute sizes:",
-               encoded.size(), encoder.value().total_bits(),
+               encoded.value().size(), encoder.value().total_bits(),
                out_path.c_str());
   for (size_t i = 0; i < schema.num_attributes(); ++i) {
     std::fprintf(stderr, " %zu", encoder.value().layout().segment(i).size);
