@@ -42,7 +42,7 @@ void Run() {
     enc_b.push_back(encoder.value().Encode(r).value());
   }
   VectorStore store;
-  store.AddAll(enc_a);
+  bench::DieOnError(store.AddAll(enc_a), "store");
   const PairClassifier classifier =
       MakeRuleClassifier(bench::PlRule(), encoder.value().layout());
 

@@ -39,7 +39,7 @@ Outcome RunCell(const Rule& rule, bool attribute_level,
                 const PairSet& rule_matches, uint64_t seed) {
   Rng rng(seed);
   VectorStore store;
-  store.AddAll(enc_a);
+  bench::DieOnError(store.AddAll(enc_a), "store");
 
   std::vector<IdPair> found;
   MatchStats stats;

@@ -155,7 +155,7 @@ void Run() {
 
   // --- Arena engine ------------------------------------------------------
   VectorStore store;
-  store.AddAll(enc_a);
+  bench::DieOnError(store.AddAll(enc_a), "store");
   Matcher matcher(&blocker.value(), &store);
   const PairClassifier classifier =
       MakeRuleClassifier(rule, encoder.value().layout());

@@ -105,7 +105,7 @@ void Run() {
       best.build = std::min(best.build, build_watch.ElapsedSeconds());
 
       VectorStore store;
-      store.AddAll(enc_a.value());
+      bench::DieOnError(store.AddAll(enc_a.value()), "store");
       Matcher matcher(&blocker.value(), &store);
       MatchStats stats;
       Stopwatch match_watch;

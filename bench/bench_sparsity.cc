@@ -110,7 +110,7 @@ void Run() {
     blocker.value().Index(enc_a);
 
     VectorStore store;
-    store.AddAll(enc_a);
+    bench::DieOnError(store.AddAll(enc_a), "store");
     Matcher matcher(&blocker.value(), &store);
     MatchStats stats;
     matcher.MatchAll(enc_b, MakeRecordThresholdClassifier(4), &stats);

@@ -58,7 +58,11 @@ int main() {
     enc_b.push_back(encoder.value().Encode(r).value());
   }
   VectorStore store;
-  store.AddAll(enc_a);
+  const Status stored = store.AddAll(enc_a);
+  if (!stored.ok()) {
+    std::fprintf(stderr, "%s\n", stored.ToString().c_str());
+    return 1;
+  }
 
   for (const char* text : rule_texts) {
     Result<Rule> rule = ParseRule(text);

@@ -208,25 +208,31 @@ uint64_t AttributeLevelBlocker::CompoundKey(const Structure& s,
   return acc;
 }
 
-void AttributeLevelBlocker::Insert(const EncodedRecord& record) {
+void AttributeLevelBlocker::Insert(const EncodedRecord& record,
+                                   uint32_t slot) {
+  AssignSlot(&slot_ids_, slot, record.id);
   for (Structure& s : structures_) {
     for (size_t l = 0; l < s.L; ++l) {
       if (s.kind == Structure::Kind::kAnd) {
-        s.tables[l].Insert(CompoundKey(s, record.bits, l), record.id);
+        s.tables[l].Insert(CompoundKey(s, record.bits, l), slot);
       } else {
         for (size_t i = 0; i < s.predicates.size(); ++i) {
           s.tables[i * s.L + l].Insert(s.families[i].Key(record.bits, l),
-                                       record.id);
+                                       slot);
         }
       }
     }
   }
-  if (!trivial_membership()) indexed_.emplace(record.id, record.bits);
+  if (!trivial_membership()) {
+    if (slot >= members_.size()) members_.resize(size_t{slot} + 1);
+    members_[slot] = record.bits;
+  }
 }
 
 void AttributeLevelBlocker::Index(const std::vector<EncodedRecord>& records) {
-  if (!trivial_membership()) indexed_.reserve(indexed_.size() + records.size());
-  for (const EncodedRecord& record : records) Insert(record);
+  for (const EncodedRecord& record : records) {
+    Insert(record, static_cast<uint32_t>(slot_ids_.size()));
+  }
 }
 
 void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
@@ -235,10 +241,9 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   telemetry::ScopedTimer timer(
       reg.GetHistogram("index_build_batch_latency_us"));
   if (pool == nullptr || pool->num_threads() <= 1 || records.size() <= 1) {
-    if (!trivial_membership()) {
-      indexed_.reserve(indexed_.size() + records.size());
+    for (const EncodedRecord& record : records) {
+      Insert(record, static_cast<uint32_t>(slot_ids_.size()));
     }
-    for (const EncodedRecord& record : records) Insert(record);
     reg.GetCounter("index_build_records_total")->Add(records.size());
     return;
   }
@@ -262,13 +267,20 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
   const size_t total_tables = table_refs.size();
 
   // Phase 1: the key matrix keys[i * total_tables + global_table],
-  // sharded over records.
+  // sharded over records, plus each record's slot, Id and (non-trivial
+  // membership only) retained vector.
+  const size_t first = slot_ids_.size();
+  const bool retain = !trivial_membership();
   std::vector<uint64_t> keys(records.size() * total_tables);
-  std::vector<RecordId> ids(records.size());
+  std::vector<uint32_t> slots(records.size());
+  slot_ids_.resize(first + records.size());
+  if (retain) members_.resize(first + records.size());
   pool->ParallelFor(
       records.size(), min_chunk, [&](size_t, size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
-          ids[i] = records[i].id;
+          slots[i] = static_cast<uint32_t>(first + i);
+          slot_ids_[first + i] = records[i].id;
+          if (retain) members_[first + i] = records[i].bits;
           uint64_t* row = keys.data() + i * total_tables;
           for (size_t s = 0; s < structures_.size(); ++s) {
             const Structure& st = structures_[s];
@@ -293,18 +305,9 @@ void AttributeLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
     for (size_t t = begin; t < end; ++t) {
       const TableRef& ref = table_refs[t];
       structures_[ref.structure].tables[ref.local].BulkInsert(
-          keys.data() + t, total_tables, ids);
+          keys.data() + t, total_tables, slots);
     }
   });
-
-  // The retained vector map is filled serially (unordered_map is not
-  // concurrent); identical contents either way since ids are the keys.
-  if (!trivial_membership()) {
-    indexed_.reserve(indexed_.size() + records.size());
-    for (const EncodedRecord& record : records) {
-      indexed_.emplace(record.id, record.bits);
-    }
-  }
   reg.GetCounter("index_build_records_total")->Add(records.size());
 }
 
@@ -351,7 +354,7 @@ bool AttributeLevelBlocker::FormulatedByRule(const BitVector& a,
 
 void AttributeLevelBlocker::ForEachProbedBucket(
     const BitVector& probe,
-    FunctionRef<void(std::span<const RecordId>)> cb) const {
+    FunctionRef<void(std::span<const uint32_t>)> cb) const {
   for (size_t si : generating_) {
     const Structure& s = structures_[si];
     if (s.kind == Structure::Kind::kAnd) {
@@ -377,33 +380,22 @@ void AttributeLevelBlocker::ForEachProbedBucket(
   }
 }
 
-void AttributeLevelBlocker::ForEachCandidate(
-    const BitVector& probe, const std::function<void(RecordId)>& cb) const {
-  const bool trivial = trivial_membership();
-  std::unordered_set<RecordId> seen;
-  ForEachProbedBucket(probe, [&](std::span<const RecordId> bucket) {
-    for (RecordId id : bucket) {
-      if (!seen.insert(id).second) continue;
-      if (trivial) {
-        cb(id);
-        continue;
-      }
-      const auto it = indexed_.find(id);
-      if (it != indexed_.end() && FormulatedByRule(it->second, probe)) {
-        cb(id);
+void AttributeLevelBlocker::ForEachSlotSpan(
+    const BitVector& probe,
+    FunctionRef<void(std::span<const uint32_t>)> cb) const {
+  if (trivial_membership()) {
+    ForEachProbedBucket(probe, cb);
+    return;
+  }
+  std::unordered_set<uint32_t> seen;
+  ForEachProbedBucket(probe, [&](std::span<const uint32_t> bucket) {
+    for (const uint32_t slot : bucket) {
+      if (seen.insert(slot).second &&
+          FormulatedByRule(members_[slot], probe)) {
+        cb(std::span<const uint32_t>(&slot, 1));
       }
     }
   });
-}
-
-void AttributeLevelBlocker::ForEachCandidateSpan(
-    const BitVector& probe,
-    FunctionRef<void(std::span<const RecordId>)> cb) const {
-  if (trivial_membership()) {
-    ForEachProbedBucket(probe, cb);
-  } else {
-    CandidateSource::ForEachCandidateSpan(probe, cb);
-  }
 }
 
 size_t AttributeLevelBlocker::TotalTables() const {

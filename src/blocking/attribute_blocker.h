@@ -22,7 +22,6 @@
 #define CBVLINK_BLOCKING_ATTRIBUTE_BLOCKER_H_
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/blocking/record_blocker.h"
@@ -60,39 +59,36 @@ class AttributeLevelBlocker : public CandidateSource {
       const Rule& rule, const RecordLayout& layout,
       const AttributeBlockerOptions& options, Rng& rng);
 
-  /// Inserts data set A's records into every structure's tables and
-  /// retains their vectors for rule-membership evaluation.
+  /// Inserts data set A's records serially into every structure's
+  /// tables, records[i] as slot num_slots() + i, and retains their
+  /// vectors for rule-membership evaluation.
   void Index(const std::vector<EncodedRecord>& records);
 
   /// Bulk Index with the two-phase parallel build (see
-  /// RecordLevelBlocker::BulkInsert): phase 1 computes every structure's
-  /// keys into a per-record matrix over `pool`; phase 2 merges each of
-  /// the TotalTables() tables in record order.  Tables and the retained
-  /// vector map are identical to Index() at any thread count.
+  /// RecordLevelBlocker::BulkInsert, including its slot numbering):
+  /// phase 1 computes every structure's keys into a per-record matrix
+  /// over `pool`; phase 2 merges each of the TotalTables() tables in
+  /// record order.  Tables and the retained vectors are identical to
+  /// Index() at any thread count.
   void BulkInsert(std::span<const EncodedRecord> records,
                   ThreadPool* pool = nullptr, size_t min_chunk = 0);
 
-  /// Inserts a single record (streaming ingestion).
-  void Insert(const EncodedRecord& record);
-
-  /// Candidates of `probe`: Ids colliding with it in the generating
-  /// structures and whose pair passes the structure-membership expression
-  /// (pairs ruled out by a NOT or a missing conjunct are never emitted).
-  /// Each Id is emitted once.
-  void ForEachCandidate(
-      const BitVector& probe,
-      const std::function<void(RecordId)>& cb) const override;
+  /// Inserts a single record as `slot` (streaming ingestion; see
+  /// RecordLevelBlocker::Insert).
+  void Insert(const EncodedRecord& record, uint32_t slot);
 
   /// When the rule lowers to one structure (a predicate, or an AND / OR
-  /// of predicates, like the paper's C1), every colliding pair is formulated,
-  /// so each probed bucket goes to `cb` as one span over the table's
-  /// storage, duplicates across groups included; the matcher's unique
-  /// collection removes them.  Multi-structure rules (C2, C3) need the
-  /// per-pair membership check and take ForEachCandidate's filtered,
-  /// de-duplicated path, one Id per span.
-  void ForEachCandidateSpan(
+  /// of predicates, like the paper's C1), every colliding pair is
+  /// formulated, so each probed bucket goes to `cb` as one span over the
+  /// table's storage, duplicates across groups included; the matcher's
+  /// unique collection removes them.  Multi-structure rules (C2, C3) need
+  /// the per-pair membership check: each colliding slot is emitted once,
+  /// as a one-slot span, when its pair is formulated.
+  void ForEachSlotSpan(
       const BitVector& probe,
-      FunctionRef<void(std::span<const RecordId>)> cb) const override;
+      FunctionRef<void(std::span<const uint32_t>)> cb) const override;
+
+  std::span<const RecordId> slot_ids() const override { return slot_ids_; }
 
   /// True iff the pair (a, b) is formulated according to the rule's
   /// blocking structures (Section 5.4 compound-rule semantics).
@@ -163,16 +159,18 @@ class AttributeLevelBlocker : public CandidateSource {
   /// generating structures, in group order.
   void ForEachProbedBucket(
       const BitVector& probe,
-      FunctionRef<void(std::span<const RecordId>)> cb) const;
+      FunctionRef<void(std::span<const uint32_t>)> cb) const;
 
   Rule rule_;
   std::vector<Structure> structures_;
   Expr expr_;
   /// Structures probed for candidate generation.
   std::vector<size_t> generating_;
-  /// A-side vectors retained for membership evaluation; filled only when
-  /// membership is non-trivial.
-  std::unordered_map<RecordId, BitVector> indexed_;
+  /// Slot -> RecordId, for the Id adapters.
+  std::vector<RecordId> slot_ids_;
+  /// Slot -> A-side vector, retained for membership evaluation; filled
+  /// only when membership is non-trivial.
+  std::vector<BitVector> members_;
 };
 
 }  // namespace cbvlink

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "src/common/str.h"
 #include "src/common/thread_pool.h"
 #include "src/telemetry/metrics.h"
 
@@ -45,7 +46,7 @@ struct MatcherMetrics {
 
 }  // namespace
 
-void VectorStore::Add(const EncodedRecord& record) {
+uint32_t VectorStore::Add(const EncodedRecord& record) {
   if (ids_.empty()) {
     num_bits_ = record.bits.size();
     stride_ = record.bits.words().size();
@@ -82,7 +83,7 @@ void VectorStore::Add(const EncodedRecord& record) {
         dead_words_[dense >> 6] &= ~(uint64_t{1} << (dense & 63));
         --dead_count_;
       }
-      return;
+      return dense;
     }
     pos = (pos + 1) & slot_mask_;
   }
@@ -93,14 +94,23 @@ void VectorStore::Add(const EncodedRecord& record) {
   words_.insert(words_.end(), words.begin(), words.end());
   // BitVector zero-pads past size(); the arena inherits the invariant, so
   // whole-word kernels are exact.
+  return dense;
 }
 
-void VectorStore::AddAll(const std::vector<EncodedRecord>& records) {
+Status VectorStore::AddAll(const std::vector<EncodedRecord>& records) {
   if (!records.empty() && ids_.empty()) {
     words_.reserve(records.size() * records.front().bits.words().size());
     ids_.reserve(records.size());
   }
-  for (const EncodedRecord& record : records) Add(record);
+  for (const EncodedRecord& record : records) {
+    const size_t before = ids_.size();
+    if (Add(record) != before) {
+      return Status::InvalidArgument(
+          StrFormat("record id %llu appears more than once",
+                    static_cast<unsigned long long>(record.id)));
+    }
+  }
+  return Status::OK();
 }
 
 bool VectorStore::Remove(RecordId id) {
@@ -247,31 +257,34 @@ void Matcher::MatchOne(const EncodedRecord& b, const PairClassifier& classifier,
 
 void Matcher::Collect(const BitVector& probe, Scratch* scratch,
                       MatchStats* stats) const {
+  // Slots index the stamp array and the arena with no lookup in between,
+  // so this one check per probe is what keeps them inside the store.
+  const size_t num_slots = source_->num_slots();
+  if (num_slots > store_a_->size()) {
+    std::fprintf(stderr,
+                 "cbvlink: Matcher::Collect candidate source has %zu slots "
+                 "but the store holds %zu records (fill the store with "
+                 "every record the blocker indexes)\n",
+                 num_slots, store_a_->size());
+    std::abort();
+  }
   scratch->Prepare(store_a_->size());
   uint32_t* const stamps = scratch->stamps_.data();
   const uint32_t epoch = scratch->epoch_;
   std::vector<uint32_t>& fresh = scratch->fresh_dense_;
-  source_->ForEachCandidateSpan(
-      probe, [&](std::span<const RecordId> bucket) {
-        stats->candidate_occurrences += bucket.size();
-        for (const RecordId a_id : bucket) {
-          const uint32_t dense = store_a_->DenseIndex(a_id);
-          if (dense == VectorStore::kNotFound) {
-            // Id indexed but vector unknown: no dense slot to stamp, so
-            // de-duplicate through the (steady-state empty) side set.
-            if (!scratch->unknown_.insert(a_id).second) ++stats->dedup_skipped;
-            continue;
-          }
-          if (stamps[dense] == epoch) {
-            ++stats->dedup_skipped;
-            continue;
-          }
-          stamps[dense] = epoch;
-          // Tombstoned slot: stamped (so repeats dedupe for free) but
-          // never staged — a deleted record matches nothing.
-          if (!store_a_->IsDead(dense)) fresh.push_back(dense);
-        }
-      });
+  source_->ForEachSlotSpan(probe, [&](std::span<const uint32_t> bucket) {
+    stats->candidate_occurrences += bucket.size();
+    for (const uint32_t slot : bucket) {
+      if (stamps[slot] == epoch) {
+        ++stats->dedup_skipped;
+        continue;
+      }
+      stamps[slot] = epoch;
+      // Tombstoned slot: stamped (so repeats dedupe for free) but never
+      // staged — a deleted record matches nothing.
+      if (!store_a_->IsDead(slot)) fresh.push_back(slot);
+    }
+  });
 }
 
 void Matcher::Compare(const EncodedRecord& b, const PairClassifier& classifier,
@@ -281,6 +294,24 @@ void Matcher::Compare(const EncodedRecord& b, const PairClassifier& classifier,
   const size_t n = fresh.size();
   stats->comparisons += n;
   if (n == 0) return;
+  // A slot names the same record in the source and the store only when
+  // both were filled in the same order.  Checking that at emission costs
+  // one load per pair and nothing per candidate.
+  const std::span<const RecordId> slot_ids = source_->slot_ids();
+  const auto emit = [&](uint32_t slot) {
+    const RecordId a_id = store_a_->IdAt(slot);
+    if (slot_ids[slot] != a_id) {
+      std::fprintf(stderr,
+                   "cbvlink: Matcher slot %u is record %llu in the candidate "
+                   "source but %llu in the store (fill the store in the "
+                   "order the blocker numbers its records)\n",
+                   slot, static_cast<unsigned long long>(slot_ids[slot]),
+                   static_cast<unsigned long long>(a_id));
+      std::abort();
+    }
+    ++stats->matches;
+    out->push_back(IdPair{a_id, b.id});
+  };
   const uint64_t* const b_words = b.bits.words().data();
   const size_t num_words = store_a_->words_per_record();
   size_t theta = 0;
@@ -295,18 +326,14 @@ void Matcher::Compare(const EncodedRecord& b, const PairClassifier& classifier,
                    num_words, fresh.data(), n, num_words, theta,
                    verdicts.data());
     for (size_t i = 0; i < n; ++i) {
-      if (verdicts[i] != 0) {
-        ++stats->matches;
-        out->push_back(IdPair{store_a_->IdAt(fresh[i]), b.id});
-      }
+      if (verdicts[i] != 0) emit(fresh[i]);
     }
     return;
   }
   for (const uint32_t dense : fresh) {
     if (classifier.ClassifyWords(store_a_->WordsAt(dense), b_words,
                                  num_words)) {
-      ++stats->matches;
-      out->push_back(IdPair{store_a_->IdAt(dense), b.id});
+      emit(dense);
     }
   }
 }

@@ -13,14 +13,20 @@
 //    an open-addressing RecordId -> dense-index table.  The Hamming
 //    kernels run directly on the arena — no per-record heap vectors, no
 //    node-based hash map on the hot path.
+//  * The blocking tables hold slots — the store's dense indices — so a
+//    candidate goes straight to the stamp array and the arena: Collect
+//    makes no id lookup, and IdAt runs only when a pair is emitted.  One
+//    O(1) check per probe (the source's slot count against the store's
+//    size) keeps every slot inside the store, and one load per emitted
+//    pair checks that source and store agree on the slot's RecordId.
 //  * The unique collection C is a generation-stamped visited array
-//    indexed by dense id: one epoch bump per probe, zero allocations in
+//    indexed by slot: one epoch bump per probe, zero allocations in
 //    steady state (a per-probe std::unordered_set in the seed engine).
 //    It is the only de-duplication on the path for the record-level
 //    blocker and for single-structure attribute-level rules.
-//  * Candidates arrive as bucket spans (CandidateSource::
-//    ForEachCandidateSpan), so the engine pays one indirect call per
-//    blocking group instead of one std::function invocation per Id.
+//  * Candidates arrive as bucket spans (CandidateSource::ForEachSlotSpan),
+//    so the engine pays one indirect call per blocking group instead of
+//    one std::function invocation per candidate.
 //  * MatchAll shards the B records over a ThreadPool with per-thread
 //    stats and match buffers, merged in shard order — the output is
 //    byte-identical to the serial engine at any thread count.
@@ -30,13 +36,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "src/blocking/record_blocker.h"
 #include "src/common/bitvector.h"
 #include "src/common/hamming_kernels.h"
 #include "src/common/record.h"
+#include "src/common/status.h"
 #include "src/embedding/record_encoder.h"
 #include "src/rules/rule.h"
 
@@ -73,7 +79,8 @@ struct MatchStats {
 /// dense position.  Every record must carry the same bit width (the
 /// encoder's total_bits) — the first Add fixes the stride.  Re-adding an
 /// existing live id keeps the first vector; re-adding a tombstoned id
-/// resurrects the slot with the new vector.
+/// resurrects the slot with the new vector.  A dense index is the slot
+/// the blockers store for the record (CandidateSource).
 ///
 /// Deletion is a tombstone, not a compaction: Remove() flips a bit in a
 /// dead-slot bitmap and the arena keeps the words, so delete is O(1) and
@@ -88,9 +95,17 @@ class VectorStore {
 
   VectorStore() = default;
 
-  void Add(const EncodedRecord& record);
+  /// Stores `record` and returns its dense index: a new one at size(),
+  /// or the existing slot of its id (kept as is when live, resurrected
+  /// with the new vector when tombstoned).
+  uint32_t Add(const EncodedRecord& record);
 
-  void AddAll(const std::vector<EncodedRecord>& records);
+  /// Adds `records` at dense indices size(), size() + 1, ... — the
+  /// numbering a blocker's BulkInsert gives the same records.  Every id
+  /// must be new to the store: returns InvalidArgument naming the first
+  /// one already present (a repeated id would leave a blocker slot
+  /// without its own vector).  The records before it stay stored.
+  Status AddAll(const std::vector<EncodedRecord>& records);
 
   /// Tombstones `id`.  Returns true when the id was present and live
   /// (false = unknown or already dead).  O(1): one hash probe + one bit.
@@ -312,17 +327,12 @@ class Matcher {
         std::fill(stamps_.begin(), stamps_.end(), 0);
         epoch_ = 1;
       }
-      if (!unknown_.empty()) unknown_.clear();
       fresh_dense_.clear();
     }
 
-    /// stamps_[dense] == epoch_  <=>  dense already seen this probe.
+    /// stamps_[slot] == epoch_  <=>  slot already seen this probe.
     std::vector<uint32_t> stamps_;
     uint32_t epoch_ = 0;
-    /// Dedup for candidate Ids absent from the store (indexed but vector
-    /// unknown) — they have no dense index to stamp.  Empty in steady
-    /// state, so it never allocates on the healthy path.
-    std::unordered_set<RecordId> unknown_;
     /// The probe's fresh (first-seen) live candidates in arrival order,
     /// and the batch kernel's per-candidate <=theta verdicts.  Capacity
     /// persists across probes, so steady state never allocates.
@@ -333,10 +343,13 @@ class Matcher {
   Matcher(const CandidateSource* source, const VectorStore* store_a)
       : source_(source), store_a_(store_a) {}
 
-  /// Phase 1: walks the candidate buckets of `probe` and stages every
-  /// first-seen, live candidate in `scratch`, in arrival order.
-  /// Tombstoned slots are deduplicated but never staged.  Adds the
-  /// occurrence and dedup counters to `*stats`.
+  /// Phase 1: walks the candidate slot spans of `probe` and stages every
+  /// first-seen, live slot in `scratch`, in arrival order.  Tombstoned
+  /// slots are deduplicated but never staged.  Adds the occurrence and
+  /// dedup counters to `*stats`.  Aborts when the source hands out more
+  /// slots than the store holds (a caller that filled the blocker
+  /// without the store): its slots would index past the stamp array and
+  /// the arena.
   void Collect(const BitVector& probe, Scratch* scratch,
                MatchStats* stats) const;
 
@@ -345,6 +358,8 @@ class Matcher {
   /// Whole-record threshold classifiers run the batch kernel; every
   /// other rule runs the per-pair classifier — the pairs are the same
   /// either way.  Adds the comparison and match counters to `*stats`.
+  /// Aborts when an emitted slot's RecordId differs between the source
+  /// and the store (a store filled in another order than the blocker).
   void Compare(const EncodedRecord& b, const PairClassifier& classifier,
                Scratch* scratch, std::vector<IdPair>* out,
                MatchStats* stats) const;

@@ -26,6 +26,32 @@ size_t ClampK(size_t K, size_t num_bits, const char* what) {
 
 }  // namespace
 
+void CandidateSource::ForEachCandidate(
+    const BitVector& probe, const std::function<void(RecordId)>& cb) const {
+  const std::span<const RecordId> ids = slot_ids();
+  ForEachSlotSpan(probe, [&](std::span<const uint32_t> slots) {
+    for (const uint32_t slot : slots) cb(ids[slot]);
+  });
+}
+
+void CandidateSource::ForEachCandidateSpan(
+    const BitVector& probe,
+    FunctionRef<void(std::span<const RecordId>)> cb) const {
+  const std::span<const RecordId> ids = slot_ids();
+  std::vector<RecordId> bucket;
+  ForEachSlotSpan(probe, [&](std::span<const uint32_t> slots) {
+    bucket.resize(slots.size());
+    for (size_t i = 0; i < slots.size(); ++i) bucket[i] = ids[slots[i]];
+    cb(bucket);
+  });
+}
+
+void CandidateSource::AssignSlot(std::vector<RecordId>* slot_ids,
+                                 uint32_t slot, RecordId id) {
+  if (slot >= slot_ids->size()) slot_ids->resize(size_t{slot} + 1);
+  (*slot_ids)[slot] = id;
+}
+
 Result<RecordLevelBlocker> RecordLevelBlocker::Create(size_t num_bits,
                                                       size_t K, size_t theta,
                                                       double delta, Rng& rng) {
@@ -48,7 +74,9 @@ Result<RecordLevelBlocker> RecordLevelBlocker::CreateWithL(size_t num_bits,
 }
 
 void RecordLevelBlocker::Index(const std::vector<EncodedRecord>& records) {
-  for (const EncodedRecord& record : records) Insert(record);
+  for (const EncodedRecord& record : records) {
+    Insert(record, static_cast<uint32_t>(slot_ids_.size()));
+  }
 }
 
 void RecordLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
@@ -58,17 +86,22 @@ void RecordLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
       reg.GetHistogram("index_build_batch_latency_us"));
   const size_t L = tables_.size();
   if (pool == nullptr || pool->num_threads() <= 1 || records.size() <= 1) {
-    for (const EncodedRecord& record : records) Insert(record);
+    for (const EncodedRecord& record : records) {
+      Insert(record, static_cast<uint32_t>(slot_ids_.size()));
+    }
   } else {
     // Phase 1: the key matrix keys[i * L + l], sharded over records.
-    // Every slot is written by exactly one chunk, so the matrix is
+    // Every cell is written by exactly one chunk, so the matrix is
     // independent of the chunking.
+    const size_t first = slot_ids_.size();
     std::vector<uint64_t> keys(records.size() * L);
-    std::vector<RecordId> ids(records.size());
+    std::vector<uint32_t> slots(records.size());
+    slot_ids_.resize(first + records.size());
     pool->ParallelFor(records.size(), min_chunk,
                       [&](size_t, size_t begin, size_t end) {
                         for (size_t i = begin; i < end; ++i) {
-                          ids[i] = records[i].id;
+                          slots[i] = static_cast<uint32_t>(first + i);
+                          slot_ids_[first + i] = records[i].id;
                           for (size_t l = 0; l < L; ++l) {
                             keys[i * L + l] = family_.Key(records[i].bits, l);
                           }
@@ -79,29 +112,23 @@ void RecordLevelBlocker::BulkInsert(std::span<const EncodedRecord> records,
     // sequence exactly.
     pool->ParallelFor(L, [&](size_t, size_t begin, size_t end) {
       for (size_t l = begin; l < end; ++l) {
-        tables_[l].BulkInsert(keys.data() + l, L, ids);
+        tables_[l].BulkInsert(keys.data() + l, L, slots);
       }
     });
   }
   reg.GetCounter("index_build_records_total")->Add(records.size());
 }
 
-void RecordLevelBlocker::Insert(const EncodedRecord& record) {
+void RecordLevelBlocker::Insert(const EncodedRecord& record, uint32_t slot) {
+  AssignSlot(&slot_ids_, slot, record.id);
   for (size_t l = 0; l < tables_.size(); ++l) {
-    tables_[l].Insert(family_.Key(record.bits, l), record.id);
+    tables_[l].Insert(family_.Key(record.bits, l), slot);
   }
 }
 
-void RecordLevelBlocker::ForEachCandidate(
-    const BitVector& probe, const std::function<void(RecordId)>& cb) const {
-  ForEachCandidateSpan(probe, [&cb](std::span<const RecordId> bucket) {
-    for (RecordId id : bucket) cb(id);
-  });
-}
-
-void RecordLevelBlocker::ForEachCandidateSpan(
+void RecordLevelBlocker::ForEachSlotSpan(
     const BitVector& probe,
-    FunctionRef<void(std::span<const RecordId>)> cb) const {
+    FunctionRef<void(std::span<const uint32_t>)> cb) const {
   ProbeBuckets(
       tables_.size(),
       [&](size_t l) {

@@ -2,9 +2,9 @@
 //
 // The blocker samples K bit positions uniformly from the *whole*
 // record-level vector for each of L blocking groups, inserts data set A's
-// vectors into the groups' hash tables, and serves candidate Ids for each
-// probe vector from data set B.  This is the baseline that Section 5.4's
-// attribute-level blocking improves upon.
+// records into the groups' hash tables as store slots, and serves the
+// candidate slots of each probe vector from data set B.  This is the
+// baseline that Section 5.4's attribute-level blocking improves upon.
 
 #ifndef CBVLINK_BLOCKING_RECORD_BLOCKER_H_
 #define CBVLINK_BLOCKING_RECORD_BLOCKER_H_
@@ -26,38 +26,52 @@ namespace cbvlink {
 
 class ThreadPool;
 
-/// Source of candidate Ids for a probe vector; implemented by both the
+/// Source of candidates for a probe vector; implemented by both the
 /// record-level and the attribute-level blockers so the matcher is
 /// agnostic to the blocking strategy.
+///
+/// A source hands out *slots*: slot s is the record a VectorStore filled
+/// alongside the source placed at dense index s.  The matcher consumes
+/// slot spans directly (ForEachSlotSpan); ForEachCandidate and
+/// ForEachCandidateSpan are adapters over that one probe path that map
+/// slots back to RecordIds through slot_ids().
 class CandidateSource {
  public:
   virtual ~CandidateSource() = default;
 
-  /// Invokes `cb` for every candidate Id of `probe`, in blocking-group
-  /// order.  Ids may repeat across groups (the matcher de-duplicates, as
-  /// in Algorithm 2).
-  virtual void ForEachCandidate(
+  /// Invokes `cb` once per candidate group with a view of that group's
+  /// slots, in blocking-group order.  Slots may repeat across groups
+  /// (the matcher de-duplicates, as in Algorithm 2).  Every slot is below
+  /// num_slots().  Spans are only valid for the duration of the callback.
+  virtual void ForEachSlotSpan(
       const BitVector& probe,
-      const std::function<void(RecordId)>& cb) const = 0;
+      FunctionRef<void(std::span<const uint32_t>)> cb) const = 0;
 
-  /// Bucket-span variant of ForEachCandidate: invokes `cb` once per
-  /// candidate group with a view of that group's Ids, so the matching
-  /// engine iterates raw bucket storage with one indirect call per
-  /// *group* instead of one std::function invocation per Id.  The
-  /// distinct Ids, in order of first occurrence, are those
-  /// ForEachCandidate delivers; repeats across groups may appear even
-  /// where ForEachCandidate removes them (the matcher de-duplicates).
-  /// Spans are only valid for the duration of the callback.  The default
-  /// adapter wraps ForEachCandidate with single-Id spans (exact same Ids
-  /// and order); sources whose buckets are contiguous in memory override
+  /// The RecordId of every slot, indexed by slot.
+  virtual std::span<const RecordId> slot_ids() const = 0;
+
+  /// Slots handed out so far: every slot ForEachSlotSpan emits is below
   /// it.
-  virtual void ForEachCandidateSpan(
+  size_t num_slots() const { return slot_ids().size(); }
+
+  /// Invokes `cb` with the Id of every slot ForEachSlotSpan delivers for
+  /// `probe`, in blocking-group order.  Ids may repeat across groups
+  /// wherever the slots do (the record-level blocker, single-structure
+  /// attribute-level rules).
+  void ForEachCandidate(const BitVector& probe,
+                        const std::function<void(RecordId)>& cb) const;
+
+  /// ForEachSlotSpan with each span's slots mapped to their Ids: the same
+  /// spans, in the same order, at the same boundaries.  Spans are only
+  /// valid for the duration of the callback.
+  void ForEachCandidateSpan(
       const BitVector& probe,
-      FunctionRef<void(std::span<const RecordId>)> cb) const {
-    ForEachCandidate(probe, [&cb](RecordId id) {
-      cb(std::span<const RecordId>(&id, 1));
-    });
-  }
+      FunctionRef<void(std::span<const RecordId>)> cb) const;
+
+ protected:
+  /// Records `id` as the Id of `slot`, growing `slot_ids` to cover it.
+  static void AssignSlot(std::vector<RecordId>* slot_ids, uint32_t slot,
+                         RecordId id);
 };
 
 /// Record-level Hamming LSH blocker.
@@ -78,33 +92,37 @@ class RecordLevelBlocker : public CandidateSource {
   /// from a record set yields exactly the blocking keys of this one.
   RecordLevelBlocker EmptyCopy() const { return RecordLevelBlocker(family_); }
 
-  /// Inserts every record of data set A.  May be called repeatedly to add
-  /// more records.
+  /// Inserts every record of data set A serially, records[i] as slot
+  /// num_slots() + i.  May be called repeatedly to add more records.
   void Index(const std::vector<EncodedRecord>& records);
 
   /// Bulk Index with a two-phase parallel build: phase 1 computes the
-  /// L-wide blocking-key matrix sharded over `pool` (per-slot writes, so
-  /// chunking cannot reorder anything); phase 2 merges each table's key
-  /// column in record order.  The resulting tables are identical to
-  /// Index() at any thread count — same buckets, same per-bucket id
-  /// order, same counters.  Null `pool` (or a single worker) runs the
-  /// plain serial path; `min_chunk` only bounds phase-1 scheduling
-  /// overhead.
+  /// L-wide blocking-key matrix sharded over `pool` (per-record writes,
+  /// so chunking cannot reorder anything); phase 2 merges each table's
+  /// key column in record order.  records[i] becomes slot
+  /// num_slots() + i — the dense index VectorStore::AddAll gives it when
+  /// the store is filled alongside and the ids are distinct.  The
+  /// resulting tables are identical to Index() at any thread count —
+  /// same buckets, same per-bucket slot order, same counters.  Null
+  /// `pool` (or a single worker) runs the plain serial path; `min_chunk`
+  /// only bounds phase-1 scheduling overhead.
   void BulkInsert(std::span<const EncodedRecord> records,
                   ThreadPool* pool = nullptr, size_t min_chunk = 0);
 
-  /// Inserts a single record (streaming ingestion).
-  void Insert(const EncodedRecord& record);
-
-  void ForEachCandidate(
-      const BitVector& probe,
-      const std::function<void(RecordId)>& cb) const override;
+  /// Inserts a single record as `slot` (streaming ingestion): the dense
+  /// index VectorStore::Add returned for it.  A slot below num_slots()
+  /// is re-indexed in place (an update resurrects its store slot); one
+  /// past it extends the slot range, any gap holding slots no table
+  /// refers to.
+  void Insert(const EncodedRecord& record, uint32_t slot);
 
   /// Emits each probed bucket as one span over the table's own storage —
-  /// no per-Id callback, no copying.
-  void ForEachCandidateSpan(
+  /// no per-slot callback, no copying.
+  void ForEachSlotSpan(
       const BitVector& probe,
-      FunctionRef<void(std::span<const RecordId>)> cb) const override;
+      FunctionRef<void(std::span<const uint32_t>)> cb) const override;
+
+  std::span<const RecordId> slot_ids() const override { return slot_ids_; }
 
   size_t L() const { return tables_.size(); }
   size_t K() const { return family_.K(); }
@@ -124,6 +142,8 @@ class RecordLevelBlocker : public CandidateSource {
 
   HammingLshFamily family_;
   std::vector<BlockingTable> tables_;
+  /// Slot -> RecordId, for the Id adapters.
+  std::vector<RecordId> slot_ids_;
 };
 
 }  // namespace cbvlink

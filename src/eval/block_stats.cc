@@ -24,7 +24,7 @@ namespace {
 
 void Accumulate(const BlockingTable& table, BucketStats* stats,
                 std::vector<size_t>* sizes) {
-  table.ForEachBucket([&](uint64_t, std::span<const RecordId> bucket) {
+  table.ForEachBucket([&](uint64_t, std::span<const uint32_t> bucket) {
     const size_t size = bucket.size();
     ++stats->num_buckets;
     stats->num_entries += size;

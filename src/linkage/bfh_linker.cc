@@ -45,11 +45,11 @@ Result<LinkageResult> BfhLinker::Link(const std::vector<Record>& a,
       RecordLevelBlocker::Create(encoder.value().total_bits(), config_.K,
                                  config_.record_theta, config_.delta, rng);
   if (!blocker.ok()) return blocker.status();
+  // A repeated A id would leave a blocker slot without its own vector.
+  VectorStore store_a;
+  CBVLINK_RETURN_NOT_OK(store_a.AddAll(encoded_a));
   blocker.value().BulkInsert(encoded_a, ctx.pool(), ctx.chunk_size_hint());
   result.blocking_groups = blocker.value().L();
-
-  VectorStore store_a;
-  store_a.AddAll(encoded_a);
   result.index_seconds = watch.ElapsedSeconds();
 
   // --- Matching: attribute thresholds on filter segments ------------------

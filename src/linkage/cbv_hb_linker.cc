@@ -44,8 +44,8 @@ size_t CbvHbParts::blocking_groups() const {
   return groups;
 }
 
-void CbvHbParts::Insert(const EncodedRecord& record) {
-  std::visit([&](auto& b) { b.Insert(record); }, blocker);
+void CbvHbParts::Insert(const EncodedRecord& record, uint32_t slot) {
+  std::visit([&](auto& b) { b.Insert(record, slot); }, blocker);
 }
 
 void CbvHbParts::BulkInsert(std::span<const EncodedRecord> records,
@@ -142,10 +142,12 @@ Result<LinkageResult> CbvHbLinker::Link(const std::vector<Record>& a,
 
   // --- Blocking ----------------------------------------------------------
   watch.Restart();
+  // The blocker numbers A's records by position, so a repeated id (which
+  // the store keeps once) would point a slot at the wrong vector.
+  VectorStore store_a;
+  CBVLINK_RETURN_NOT_OK(store_a.AddAll(encoded_a));
   parts.BulkInsert(encoded_a, ctx.pool(), ctx.chunk_size_hint());
   result.blocking_groups = parts.blocking_groups();
-  VectorStore store_a;
-  store_a.AddAll(encoded_a);
   result.index_seconds = watch.ElapsedSeconds();
 
   // --- Matching (Algorithm 2) --------------------------------------------

@@ -75,10 +75,11 @@ struct CbvHbParts {
   /// Blocking groups behind the blocker, summed over the structures at
   /// attribute level.
   size_t blocking_groups() const;
-  /// Indexes one record into the blocker.
-  void Insert(const EncodedRecord& record);
-  /// Indexes `records` in order; the tables are identical at any thread
-  /// count (see RecordLevelBlocker::BulkInsert).
+  /// Indexes one record into the blocker as `slot`, the dense index
+  /// VectorStore::Add returned for it.
+  void Insert(const EncodedRecord& record, uint32_t slot);
+  /// Indexes `records` in order as the next slots; the tables are
+  /// identical at any thread count (see RecordLevelBlocker::BulkInsert).
   void BulkInsert(std::span<const EncodedRecord> records,
                   ThreadPool* pool = nullptr, size_t min_chunk = 0);
 };

@@ -56,8 +56,7 @@ Result<DedupResult> FindDuplicates(const std::vector<Record>& records,
   for (const EncodedRecord& record : encoded.value()) {
     matcher.MatchOne(record, parts.classifier, &result.duplicate_pairs,
                      &result.stats, &scratch);
-    parts.Insert(record);
-    store.Add(record);
+    parts.Insert(record, store.Add(record));
   }
 
   // Consolidate pairwise matches into clusters over dense positions.

@@ -118,7 +118,7 @@ Result<LinkageResult> HarraLinker::Link(const std::vector<Record>& a,
     BlockingTable table;
     for (size_t i = 0; i < a.size(); ++i) {
       if (!alive_a[i]) continue;
-      table.Insert(keys_a[i], static_cast<RecordId>(i));
+      table.Insert(keys_a[i], static_cast<uint32_t>(i));
     }
     index_seconds += phase.ElapsedSeconds();
 
@@ -129,9 +129,8 @@ Result<LinkageResult> HarraLinker::Link(const std::vector<Record>& a,
         std::fill(stamps.begin(), stamps.end(), 0);
         epoch = 1;
       }
-      for (RecordId ai : table.Get(key)) {
+      for (const uint32_t i : table.Get(key)) {
         ++result.stats.candidate_occurrences;
-        const size_t i = static_cast<size_t>(ai);
         if (!alive_a[i]) continue;  // matched earlier in this iteration
         if (stamps[i] == epoch) {
           ++result.stats.dedup_skipped;

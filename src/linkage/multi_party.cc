@@ -114,8 +114,10 @@ Result<MultiPartyResult> MultiPartyLinker::Link(
             PartyOf(pair.a_id), LocalOf(pair.a_id), p, LocalOf(pair.b_id)});
       }
     }
+    // Ids were checked distinct above, so the store numbers the records
+    // as the blocker does.
+    CBVLINK_RETURN_NOT_OK(store.AddAll(encoded));
     parts.BulkInsert(encoded);
-    store.AddAll(encoded);
   }
   return result;
 }

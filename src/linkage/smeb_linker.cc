@@ -125,18 +125,18 @@ Result<LinkageResult> SmEbLinker::Link(const std::vector<Record>& a,
     for (size_t i = 0; i < a.size(); ++i) {
       for (size_t l = 0; l < L; ++l) {
         tables[l].Insert(family.value().Key(points_a[i], l),
-                         static_cast<RecordId>(i));
+                         static_cast<uint32_t>(i));
       }
     }
   } else {
     // Two-phase build (DESIGN.md §10): keys into a per-slot matrix, then
     // one deterministic column merge per table.
     std::vector<uint64_t> keys(a.size() * L);
-    std::vector<RecordId> ids(a.size());
+    std::vector<uint32_t> positions(a.size());
     ctx.pool()->ParallelFor(a.size(), ctx.chunk_size_hint(),
                             [&](size_t, size_t begin, size_t end) {
                               for (size_t i = begin; i < end; ++i) {
-                                ids[i] = static_cast<RecordId>(i);
+                                positions[i] = static_cast<uint32_t>(i);
                                 for (size_t l = 0; l < L; ++l) {
                                   keys[i * L + l] =
                                       family.value().Key(points_a[i], l);
@@ -145,7 +145,7 @@ Result<LinkageResult> SmEbLinker::Link(const std::vector<Record>& a,
                             });
     ctx.pool()->ParallelFor(L, [&](size_t, size_t begin, size_t end) {
       for (size_t l = begin; l < end; ++l) {
-        tables[l].BulkInsert(keys.data() + l, L, ids);
+        tables[l].BulkInsert(keys.data() + l, L, positions);
       }
     });
   }
@@ -174,20 +174,19 @@ Result<LinkageResult> SmEbLinker::Link(const std::vector<Record>& a,
   const auto match_range = [&](size_t begin, size_t end, MatchStats* stats,
                                std::vector<IdPair>* matches) {
     for (size_t j = begin; j < end; ++j) {
-      std::unordered_set<RecordId> compared;
+      std::unordered_set<uint32_t> compared;
       for (size_t l = 0; l < L; ++l) {
         const uint64_t key = family.value().Key(points_b[j], l);
-        for (RecordId ai : tables[l].Get(key)) {
+        for (const uint32_t i : tables[l].Get(key)) {
           ++stats->candidate_occurrences;
-          if (!compared.insert(ai).second) {
+          if (!compared.insert(i).second) {
             ++stats->dedup_skipped;
             continue;
           }
           ++stats->comparisons;
-          if (classify(points_a[static_cast<size_t>(ai)], points_b[j])) {
+          if (classify(points_a[i], points_b[j])) {
             ++stats->matches;
-            matches->push_back(
-                IdPair{a[static_cast<size_t>(ai)].id, b[j].id});
+            matches->push_back(IdPair{a[i].id, b[j].id});
           }
         }
       }

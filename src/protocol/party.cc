@@ -73,10 +73,11 @@ Result<LinkageResultLite> LinkageUnit::LinkEncoded(
       layout_.total_bits(), options_.record_K, options_.record_theta,
       options_.delta, rng);
   if (!blocker.ok()) return blocker.status();
-  blocker.value().BulkInsert(from_a, ctx.pool(), ctx.chunk_size_hint());
-
+  // A's records arrive from another party: a repeated id would leave a
+  // blocker slot without its own vector.
   VectorStore store;
-  store.AddAll(from_a);
+  CBVLINK_RETURN_NOT_OK(store.AddAll(from_a));
+  blocker.value().BulkInsert(from_a, ctx.pool(), ctx.chunk_size_hint());
 
   LinkageResultLite result;
   result.blocking_groups = blocker.value().L();

@@ -127,11 +127,10 @@ struct LinkageService::IndexEpoch {
 
   /// Stores `record` under its id — Remove + Add rewrites a live slot in
   /// place and resurrects a dead one, so no dense index moves — then
-  /// indexes its blocking keys.
+  /// indexes its blocking keys under that slot.
   void Upsert(const EncodedRecord& record) {
     store.Remove(record.id);
-    store.Add(record);
-    blocker.Insert(record);
+    blocker.Insert(record, store.Add(record));
   }
 
   /// Every live record, ordered by id.
@@ -555,7 +554,7 @@ Status LinkageService::Compact() {
   // the same buckets a fresh build of the live set would.
   const std::vector<EncodedRecord> survivors = old.LiveRecords();
   auto fresh = std::make_shared<IndexEpoch>(old.blocker.EmptyCopy());
-  fresh->store.AddAll(survivors);
+  CBVLINK_RETURN_NOT_OK(fresh->store.AddAll(survivors));
   fresh->blocker.BulkInsert(survivors, pool_);
   const size_t before = old.blocker.TotalEntries();
   const size_t after = fresh->blocker.TotalEntries();
@@ -855,7 +854,7 @@ Result<std::unique_ptr<LinkageService>> LinkageService::Restore(
   // without locks.  The tables are rebuilt from the records, so a
   // restored index holds no stale entries, exactly as after a compaction.
   IndexEpoch& index = *service.index_;
-  index.store.AddAll(snapshot.records);
+  CBVLINK_RETURN_NOT_OK(index.store.AddAll(snapshot.records));
   // Mutation state (version 3+; defaults for older snapshots): restored
   // tombstones keep deleted records dead across the restart — as dead
   // slots, whose words are never compared — and the sequence floor lets

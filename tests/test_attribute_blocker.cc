@@ -153,7 +153,7 @@ TEST(AttributeLevelBlockerTest, IdenticalVectorsAlwaysFormulated) {
       AttributeLevelBlocker::Create(c1, NcvrLayout(), DefaultOptions(), rng)
           .value();
   const BitVector base = BaseVector();
-  blocker.Insert(MakeRecord(7, base));
+  blocker.Insert(MakeRecord(7, base), 0);
   EXPECT_TRUE(Candidates(blocker, base).contains(7));
   EXPECT_TRUE(blocker.FormulatedByRule(base, base));
 }
@@ -173,7 +173,7 @@ TEST(AttributeLevelBlockerTest, WithinThresholdPairsFoundReliably) {
     const BitVector a = BaseVector();
     BitVector b = FlipInSegment(a, 0, 15, 2, data_rng);     // u^(f1) = 2
     b = FlipInSegment(std::move(b), 15, 15, 2, data_rng);   // u^(f2) = 2
-    blocker.Insert(MakeRecord(1, a));
+    blocker.Insert(MakeRecord(1, a), 0);
     if (Candidates(blocker, b).contains(1)) ++found;
   }
   EXPECT_GE(static_cast<double>(found) / kRounds, 0.88);
@@ -188,7 +188,7 @@ TEST(AttributeLevelBlockerTest, NotRulePrunesMatchingSecondAttribute) {
       AttributeLevelBlocker::Create(c3, NcvrLayout(), DefaultOptions(), rng)
           .value();
   const BitVector a = BaseVector();
-  blocker.Insert(MakeRecord(1, a));
+  blocker.Insert(MakeRecord(1, a), 0);
   // Probe identical in f2 (and f1): excluded by the NOT.
   EXPECT_FALSE(Candidates(blocker, a).contains(1));
   EXPECT_FALSE(blocker.FormulatedByRule(a, a));
@@ -206,7 +206,7 @@ TEST(AttributeLevelBlockerTest, OrRuleFindsPairsMatchingEitherSide) {
       AttributeLevelBlocker::Create(rule, NcvrLayout(), DefaultOptions(), rng)
           .value();
   const BitVector a = BaseVector();
-  blocker.Insert(MakeRecord(1, a));
+  blocker.Insert(MakeRecord(1, a), 0);
 
   // Destroy f1 entirely but keep f3 identical: the OR should still fire.
   Rng flip(10);
@@ -225,7 +225,7 @@ TEST(AttributeLevelBlockerTest, CompoundAndOfStructuresRequiresBoth) {
           .value();
   EXPECT_EQ(blocker.num_structures(), 2u);
   const BitVector a = BaseVector();
-  blocker.Insert(MakeRecord(1, a));
+  blocker.Insert(MakeRecord(1, a), 0);
 
   // Identical probe satisfies both OR structures.
   EXPECT_TRUE(blocker.FormulatedByRule(a, a));
@@ -257,15 +257,23 @@ TEST(AttributeLevelBlockerTest, IndexRetainsVectorsForMembership) {
 // --- Span path: a single-structure rule hands its buckets to the matcher
 // as spans; a multi-structure rule keeps the filtered per-Id path.
 
-/// Serves `inner`'s ForEachCandidate through the default one-Id-per-span
-/// adapter — the matcher input before the span path existed.
+/// Serves `inner`'s slots one per span, each once per probe — the matcher
+/// input before the span path existed.
 class PerIdSource : public CandidateSource {
  public:
   explicit PerIdSource(const CandidateSource* inner) : inner_(inner) {}
-  void ForEachCandidate(
+  void ForEachSlotSpan(
       const BitVector& probe,
-      const std::function<void(RecordId)>& cb) const override {
-    inner_->ForEachCandidate(probe, cb);
+      FunctionRef<void(std::span<const uint32_t>)> cb) const override {
+    std::set<uint32_t> seen;
+    inner_->ForEachSlotSpan(probe, [&](std::span<const uint32_t> slots) {
+      for (const uint32_t slot : slots) {
+        if (seen.insert(slot).second) cb(std::span<const uint32_t>(&slot, 1));
+      }
+    });
+  }
+  std::span<const RecordId> slot_ids() const override {
+    return inner_->slot_ids();
   }
 
  private:
@@ -296,7 +304,7 @@ SpanRun MatchThrough(const CandidateSource& source, const Rule& rule,
                      const std::vector<EncodedRecord>& a,
                      const std::vector<EncodedRecord>& b) {
   VectorStore store;
-  store.AddAll(a);
+  EXPECT_TRUE(store.AddAll(a).ok());
   const Matcher matcher(&source, &store);
   SpanRun run;
   run.pairs = matcher.MatchAll(b, MakeRuleClassifier(rule, NcvrLayout()),

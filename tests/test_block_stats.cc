@@ -75,7 +75,7 @@ TEST(ComputeBucketStatsTest, SkewIsVisibleInGini) {
     balanced.Insert(k, k + 100);
   }
   BlockingTable skewed;
-  for (RecordId id = 0; id < 19; ++id) skewed.Insert(7, id);
+  for (uint32_t slot = 0; slot < 19; ++slot) skewed.Insert(7, slot);
   skewed.Insert(8, 99);
   EXPECT_LT(ComputeBucketStats(balanced).gini, 0.05);
   EXPECT_GT(ComputeBucketStats(skewed).gini, 0.4);

@@ -107,11 +107,11 @@ TEST(BlockingTableTest, BucketsIterable) {
   table.Insert(1, 10);
   table.Insert(2, 20);
   table.Insert(2, 21);
-  std::map<uint64_t, std::vector<RecordId>> seen;
-  table.ForEachBucket([&](uint64_t key, std::span<const RecordId> bucket) {
+  std::map<uint64_t, std::vector<uint32_t>> seen;
+  table.ForEachBucket([&](uint64_t key, std::span<const uint32_t> bucket) {
     seen[key].assign(bucket.begin(), bucket.end());
   });
-  const std::map<uint64_t, std::vector<RecordId>> expected = {
+  const std::map<uint64_t, std::vector<uint32_t>> expected = {
       {1, {10}}, {2, {20, 21}}};
   EXPECT_EQ(seen, expected);
 }
@@ -134,7 +134,7 @@ TEST(BlockingTableTest, ProbeBucketsEmitsGetOrderAcrossChunks) {
   const BlockingTable empty;
   BlockingTable filled;
   for (uint64_t key = 0; key < 40; ++key) {
-    for (RecordId id = 0; id <= key % 3; ++id) {
+    for (uint32_t id = 0; id <= key % 3; ++id) {
       filled.Insert(key, key * 10 + id);
     }
   }
@@ -143,20 +143,20 @@ TEST(BlockingTableTest, ProbeBucketsEmitsGetOrderAcrossChunks) {
   };
   constexpr size_t kProbes = 150;
   static_assert(kProbes > 2 * kProbeChunk);
-  std::vector<std::vector<RecordId>> expected;
+  std::vector<std::vector<uint32_t>> expected;
   for (size_t j = 0; j < kProbes; ++j) {
     const BucketProbe p = probe_at(j);
-    const std::span<const RecordId> bucket = p.table->Get(p.key);
+    const std::span<const uint32_t> bucket = p.table->Get(p.key);
     if (!bucket.empty()) expected.emplace_back(bucket.begin(), bucket.end());
   }
-  std::vector<std::vector<RecordId>> emitted;
-  ProbeBuckets(kProbes, probe_at, [&](std::span<const RecordId> bucket) {
+  std::vector<std::vector<uint32_t>> emitted;
+  ProbeBuckets(kProbes, probe_at, [&](std::span<const uint32_t> bucket) {
     emitted.emplace_back(bucket.begin(), bucket.end());
   });
   EXPECT_FALSE(expected.empty());
   EXPECT_EQ(emitted, expected);
 
-  ProbeBuckets(0, probe_at, [](std::span<const RecordId>) { FAIL(); });
+  ProbeBuckets(0, probe_at, [](std::span<const uint32_t>) { FAIL(); });
 }
 
 TEST(BlockingTableTest, EqualityIgnoresLayoutButNotIdOrder) {
@@ -186,8 +186,8 @@ TEST(BlockingTableTest, BulkThenStreamingEqualsStreamingAlone) {
   // that overwrote the neighbouring bucket would show up here.
   Rng rng(7);
   std::vector<uint64_t> keys;
-  std::vector<RecordId> ids;
-  for (RecordId id = 0; id < 500; ++id) {
+  std::vector<uint32_t> ids;
+  for (uint32_t id = 0; id < 500; ++id) {
     keys.push_back(rng.Below(40));
     ids.push_back(id);
   }
@@ -197,7 +197,7 @@ TEST(BlockingTableTest, BulkThenStreamingEqualsStreamingAlone) {
   for (size_t i = 0; i < ids.size(); ++i) streamed.Insert(keys[i], ids[i]);
   EXPECT_TRUE(bulk == streamed);
 
-  for (RecordId id = 500; id < 1500; ++id) {
+  for (uint32_t id = 500; id < 1500; ++id) {
     const uint64_t key = rng.Below(60);  // existing keys 0..39, new 40..59
     bulk.Insert(key, id);
     streamed.Insert(key, id);
@@ -212,7 +212,7 @@ TEST(BlockingTableTest, BulkThenStreamingEqualsStreamingAlone) {
 TEST(BlockingTableTest, GrowsPastSixtyFourThousandKeys) {
   constexpr uint64_t kKeys = (uint64_t{1} << 16) + 1000;
   std::vector<uint64_t> keys;
-  std::vector<RecordId> ids;
+  std::vector<uint32_t> ids;
   for (uint64_t k = 0; k < kKeys; ++k) {
     // Two Ids per key; sequential keys stress the slot hash.
     keys.push_back(k);
@@ -229,7 +229,7 @@ TEST(BlockingTableTest, GrowsPastSixtyFourThousandKeys) {
     EXPECT_EQ(table->NumEntries(), 2 * kKeys);
     EXPECT_EQ(table->MaxBucketSize(), 2u);
     for (uint64_t k = 0; k < kKeys; ++k) {
-      const std::span<const RecordId> bucket = table->Get(k);
+      const std::span<const uint32_t> bucket = table->Get(k);
       ASSERT_EQ(bucket.size(), 2u) << "key " << k;
       EXPECT_EQ(bucket[0], 2 * k);
       EXPECT_EQ(bucket[1], 2 * k + 1);

@@ -313,30 +313,25 @@ TEST(HammingKernelsTest, ForceKernelsOverridesActive) {
 // pairs and stats under every runnable kernel set, at 1, 2, and 8
 // threads — the acceptance gate for the dispatch layer.
 
+/// Probe-dependent bucket spans with cross-bucket duplicates; slot s
+/// carries RecordId s, as for records with ids 0 .. num_a - 1 stored in
+/// order.
 class SpanSource : public CandidateSource {
  public:
   SpanSource(size_t num_a, size_t num_buckets) {
+    for (size_t s = 0; s < num_a; ++s) ids_.push_back(s);
     buckets_.resize(num_buckets);
     for (size_t b = 0; b < num_buckets; ++b) {
       const size_t len = 1 + (b * 7) % 13;
       for (size_t k = 0; k < len; ++k) {
-        buckets_[b].push_back(
-            static_cast<RecordId>((b * 31 + k * 17) % (num_a + 3)));
+        buckets_[b].push_back(static_cast<uint32_t>((b * 31 + k * 17) % num_a));
       }
     }
   }
 
-  void ForEachCandidate(
+  void ForEachSlotSpan(
       const BitVector& probe,
-      const std::function<void(RecordId)>& cb) const override {
-    ForEachCandidateSpan(probe, [&](std::span<const RecordId> bucket) {
-      for (RecordId id : bucket) cb(id);
-    });
-  }
-
-  void ForEachCandidateSpan(
-      const BitVector& probe,
-      FunctionRef<void(std::span<const RecordId>)> cb) const override {
+      FunctionRef<void(std::span<const uint32_t>)> cb) const override {
     const uint64_t h = probe.words().empty() ? 0 : probe.words()[0];
     const size_t groups = 1 + h % 5;
     for (size_t g = 0; g < groups; ++g) {
@@ -344,8 +339,11 @@ class SpanSource : public CandidateSource {
     }
   }
 
+  std::span<const RecordId> slot_ids() const override { return ids_; }
+
  private:
-  std::vector<std::vector<RecordId>> buckets_;
+  std::vector<RecordId> ids_;
+  std::vector<std::vector<uint32_t>> buckets_;
 };
 
 std::vector<EncodedRecord> RandomRecords(size_t n, size_t bits,
@@ -371,7 +369,7 @@ void ExpectMatcherEquivalence(size_t bits, size_t theta) {
   std::vector<EncodedRecord> b = RandomRecords(211, bits, 1000, rng);
   SpanSource source(kNumA, 19);
   VectorStore store;
-  store.AddAll(a);
+  EXPECT_TRUE(store.AddAll(a).ok());
   Matcher matcher(&source, &store);
   const PairClassifier classifier = MakeRecordThresholdClassifier(theta);
 

@@ -423,6 +423,55 @@ TEST_F(LinkersTest, CompoundRuleEndToEnd) {
   EXPECT_GE(result.value().quality.pairs_completeness, 0.9);
 }
 
+/// 200 records of A with a copy of a[8]'s fields under a[7]'s id put in
+/// front, so the original a[7] repeats an id already seen.
+std::vector<Record> WithRepeatedId(const std::vector<Record>& a) {
+  std::vector<Record> out(a.begin(), a.begin() + 200);
+  Record copy = out[8];
+  copy.id = out[7].id;
+  out.insert(out.begin(), copy);
+  return out;
+}
+
+/// InvalidArgument whose message names `id`.
+void ExpectRepeatedIdError(const Status& status, RecordId id) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("record id " + std::to_string(id) +
+                                  " appears"),
+            std::string_view::npos)
+      << status.ToString();
+}
+
+TEST_F(LinkersTest, CbvHbRepeatedAIdIsInvalidArgument) {
+  // The store keeps one vector per id, so the second record would be
+  // blocked under its own keys but scored with the first one's vector.
+  CbvHbConfig config;
+  config.schema = generator_->schema();
+  config.rule = PlRule();
+  config.seed = 12;
+  Result<CbvHbLinker> linker = CbvHbLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  const std::vector<Record> a = WithRepeatedId(data_->a);
+  Result<LinkageResult> result = linker.value().Link(a, data_->b);
+  ASSERT_FALSE(result.ok());
+  ExpectRepeatedIdError(result.status(), a[0].id);
+}
+
+TEST_F(LinkersTest, BfhRepeatedAIdIsInvalidArgument) {
+  BfhConfig config;
+  config.schema = generator_->schema();
+  config.rule = Rule::And({Rule::Pred(0, 45), Rule::Pred(1, 45),
+                           Rule::Pred(2, 45), Rule::Pred(3, 45)});
+  config.record_theta = 45;
+  config.seed = 13;
+  Result<BfhLinker> linker = BfhLinker::Create(std::move(config));
+  ASSERT_TRUE(linker.ok());
+  const std::vector<Record> a = WithRepeatedId(data_->a);
+  Result<LinkageResult> result = linker.value().Link(a, data_->b);
+  ASSERT_FALSE(result.ok());
+  ExpectRepeatedIdError(result.status(), a[0].id);
+}
+
 TEST_F(LinkersTest, TimingBreakdownIsPopulated) {
   CbvHbConfig config;
   config.schema = generator_->schema();

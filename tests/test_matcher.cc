@@ -8,19 +8,24 @@
 namespace cbvlink {
 namespace {
 
-/// A candidate source that replays a fixed list (with duplicates) for any
-/// probe — isolates Algorithm 2 from the LSH machinery.
+/// A candidate source that replays a fixed slot list (with duplicates)
+/// for any probe — isolates Algorithm 2 from the LSH machinery.  Slot s
+/// carries ids[s].
 class FixedSource : public CandidateSource {
  public:
-  explicit FixedSource(std::vector<RecordId> ids) : ids_(std::move(ids)) {}
+  FixedSource(std::vector<uint32_t> slots, std::vector<RecordId> ids)
+      : slots_(std::move(slots)), ids_(std::move(ids)) {}
 
-  void ForEachCandidate(
+  void ForEachSlotSpan(
       const BitVector&,
-      const std::function<void(RecordId)>& cb) const override {
-    for (RecordId id : ids_) cb(id);
+      FunctionRef<void(std::span<const uint32_t>)> cb) const override {
+    cb(slots_);
   }
 
+  std::span<const RecordId> slot_ids() const override { return ids_; }
+
  private:
+  std::vector<uint32_t> slots_;
   std::vector<RecordId> ids_;
 };
 
@@ -48,14 +53,31 @@ TEST(VectorStoreTest, AddAndLookup) {
 
 TEST(VectorStoreTest, AddAll) {
   VectorStore store;
-  store.AddAll({MakeRecord(1, 8, {}), MakeRecord(2, 8, {})});
+  EXPECT_TRUE(store.AddAll({MakeRecord(1, 8, {}), MakeRecord(2, 8, {})}).ok());
   EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(VectorStoreTest, AddAllRejectsRepeatedId) {
+  // A blocker numbers the same records by position, so a repeated id
+  // would leave a blocker slot without its own vector.
+  VectorStore store;
+  const Status status = store.AddAll(
+      {MakeRecord(3, 8, {0}), MakeRecord(5, 8, {1}), MakeRecord(3, 8, {2})});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("record id 3"), std::string::npos);
+  // An id already stored by an earlier call is rejected the same way.
+  VectorStore other;
+  EXPECT_TRUE(other.AddAll({MakeRecord(5, 8, {0})}).ok());
+  EXPECT_FALSE(other.AddAll({MakeRecord(6, 8, {0}), MakeRecord(5, 8, {1})})
+                   .ok());
 }
 
 TEST(VectorStoreTest, DenseIndicesAreInsertionOrder) {
   VectorStore store;
-  store.AddAll({MakeRecord(9, 8, {0}), MakeRecord(4, 8, {1}),
-                MakeRecord(7, 8, {2})});
+  EXPECT_TRUE(store
+                  .AddAll({MakeRecord(9, 8, {0}), MakeRecord(4, 8, {1}),
+                           MakeRecord(7, 8, {2})})
+                  .ok());
   EXPECT_EQ(store.DenseIndex(9), 0u);
   EXPECT_EQ(store.DenseIndex(4), 1u);
   EXPECT_EQ(store.DenseIndex(7), 2u);
@@ -90,7 +112,9 @@ TEST(VectorStoreTest, ArenaIsContiguousAndZeroPadded) {
   // 70 bits -> 2 words per record with 58 padding bits in the second
   // word; the whole-word kernels rely on the padding staying zero.
   VectorStore store;
-  store.AddAll({MakeRecord(1, 70, {0, 69}), MakeRecord(2, 70, {69})});
+  EXPECT_TRUE(
+      store.AddAll({MakeRecord(1, 70, {0, 69}), MakeRecord(2, 70, {69})})
+          .ok());
   EXPECT_EQ(store.num_bits(), 70u);
   EXPECT_EQ(store.words_per_record(), 2u);
   ASSERT_EQ(store.arena().size(), 4u);
@@ -123,7 +147,7 @@ TEST(VectorStoreDeathTest, MixedWidthAborts) {
 TEST(MatcherTest, Algorithm2DeduplicatesPerProbe) {
   // The same A-Id delivered from three blocking groups must be compared
   // once (the unique collection C of Algorithm 2).
-  FixedSource source({1, 1, 1, 2});
+  FixedSource source({0, 0, 0, 1}, {1, 2});
   VectorStore store;
   store.Add(MakeRecord(1, 16, {0}));
   store.Add(MakeRecord(2, 16, {0}));
@@ -142,7 +166,7 @@ TEST(MatcherTest, Algorithm2DeduplicatesPerProbe) {
 }
 
 TEST(MatcherTest, DedupResetsBetweenProbes) {
-  FixedSource source({1});
+  FixedSource source({0}, {1});
   VectorStore store;
   store.Add(MakeRecord(1, 16, {0}));
   Matcher matcher(&source, &store);
@@ -155,40 +179,61 @@ TEST(MatcherTest, DedupResetsBetweenProbes) {
   EXPECT_EQ(out.size(), 2u);
 }
 
-TEST(MatcherTest, UnknownIdsSkippedSafely) {
-  FixedSource source({42});
-  VectorStore store;  // empty — Id 42 unknown
+TEST(MatcherDeathTest, SourceWithMoreSlotsThanStoreAborts) {
+  // Slots index the stamp array and the arena directly, so a source that
+  // hands out a slot the store does not hold must stop the probe before
+  // any slot is read, not read past the arena.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FixedSource source({0, 1}, {1, 42});
+  VectorStore store;
+  store.Add(MakeRecord(1, 16, {0}));  // slot 1 (id 42) has no vector
   Matcher matcher(&source, &store);
-  MatchStats stats;
   std::vector<IdPair> out;
   Matcher::Scratch scratch;
-  matcher.MatchOne(MakeRecord(100, 16, {}),
-                   MakeRecordThresholdClassifier(0), &out, &stats, &scratch);
-  EXPECT_EQ(stats.comparisons, 0u);
-  EXPECT_TRUE(out.empty());
+  EXPECT_DEATH(matcher.MatchOne(MakeRecord(100, 16, {0}),
+                                MakeRecordThresholdClassifier(0), &out,
+                                nullptr, &scratch),
+               "2 slots but the store holds 1");
+  // Once the store holds every slot, the same source matches.
+  store.Add(MakeRecord(42, 16, {0}));
+  matcher.MatchOne(MakeRecord(100, 16, {0}), MakeRecordThresholdClassifier(0),
+                   &out, nullptr, &scratch);
+  EXPECT_EQ(out, (std::vector<IdPair>{{1, 100}, {42, 100}}));
 }
 
-TEST(MatcherTest, RepeatedUnknownIdsCountAsDedupSkipped) {
-  // An Id that is indexed but has no stored vector still participates in
-  // the unique collection: its second and later occurrences are skips.
-  FixedSource source({42, 42, 42});
+TEST(MatcherDeathTest, StoreFilledInAnotherOrderAborts) {
+  // Two slots and two records pass the count check, but the store holds
+  // the records in reverse order, so slot 0 is record 1 to the source and
+  // record 2 to the store.  Emitting a pair from it must abort instead of
+  // naming the record whose vector was not scored, on the batch kernel
+  // path and on the per-pair rule path alike.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FixedSource source({0, 1}, {1, 2});
   VectorStore store;
-  store.Add(MakeRecord(1, 16, {0}));  // non-empty store, 42 still unknown
+  EXPECT_TRUE(
+      store.AddAll({MakeRecord(2, 16, {0}), MakeRecord(1, 16, {0})}).ok());
   Matcher matcher(&source, &store);
-  MatchStats stats;
   std::vector<IdPair> out;
   Matcher::Scratch scratch;
-  matcher.MatchOne(MakeRecord(100, 16, {0}),
-                   MakeRecordThresholdClassifier(0), &out, &stats, &scratch);
-  EXPECT_EQ(stats.candidate_occurrences, 3u);
-  EXPECT_EQ(stats.comparisons, 0u);
-  EXPECT_EQ(stats.dedup_skipped, 2u);
-  EXPECT_TRUE(out.empty());
+  EXPECT_DEATH(matcher.MatchOne(MakeRecord(100, 16, {0}),
+                                MakeRecordThresholdClassifier(0), &out,
+                                nullptr, &scratch),
+               "slot 0 is record 1 in the candidate source but 2 in the "
+               "store");
+  RecordLayout layout;
+  layout.Add(8);
+  layout.Add(8);
+  const PairClassifier rule = MakeRuleClassifier(
+      Rule::And({Rule::Pred(0, 0), Rule::Pred(1, 0)}), layout);
+  EXPECT_DEATH(matcher.MatchOne(MakeRecord(100, 16, {0}), rule, &out,
+                                nullptr, &scratch),
+               "slot 0 is record 1 in the candidate source but 2 in the "
+               "store");
 }
 
 TEST(MatcherTest, NullStatsAccepted) {
   // Callers that only want the pairs may pass stats == nullptr.
-  FixedSource source({1, 1, 42});
+  FixedSource source({0, 0}, {1});
   VectorStore store;
   store.Add(MakeRecord(1, 16, {0}));
   Matcher matcher(&source, &store);
@@ -204,7 +249,7 @@ TEST(MatcherTest, NullStatsAccepted) {
 }
 
 TEST(MatcherTest, ThresholdClassifierFiltersByDistance) {
-  FixedSource source({1, 2});
+  FixedSource source({0, 1}, {1, 2});
   VectorStore store;
   store.Add(MakeRecord(1, 16, {0, 1}));          // distance 0 to probe
   store.Add(MakeRecord(2, 16, {0, 1, 2, 3, 4}));  // distance 3 to probe
@@ -267,33 +312,25 @@ TEST(MatcherTest, MatchStatsAccumulate) {
 }
 
 /// A probe-dependent candidate source: each probe maps to a different mix
-/// of bucket spans (with cross-bucket duplicates and some unknown Ids), so
-/// the parallel determinism tests exercise uneven per-probe work.
+/// of bucket spans (with cross-bucket duplicates), so the parallel
+/// determinism tests exercise uneven per-probe work.  Slot s carries
+/// RecordId s, as for records with ids 0 .. num_a - 1 stored in order.
 class HashedSpanSource : public CandidateSource {
  public:
   HashedSpanSource(size_t num_a, size_t num_buckets) {
+    for (size_t s = 0; s < num_a; ++s) ids_.push_back(s);
     buckets_.resize(num_buckets);
     for (size_t b = 0; b < num_buckets; ++b) {
       const size_t len = 1 + (b * 7) % 13;
       for (size_t k = 0; k < len; ++k) {
-        // Mostly known Ids, a few unknown ones (>= num_a) sprinkled in.
-        buckets_[b].push_back(
-            static_cast<RecordId>((b * 31 + k * 17) % (num_a + 3)));
+        buckets_[b].push_back(static_cast<uint32_t>((b * 31 + k * 17) % num_a));
       }
     }
   }
 
-  void ForEachCandidate(
+  void ForEachSlotSpan(
       const BitVector& probe,
-      const std::function<void(RecordId)>& cb) const override {
-    ForEachCandidateSpan(probe, [&](std::span<const RecordId> bucket) {
-      for (RecordId id : bucket) cb(id);
-    });
-  }
-
-  void ForEachCandidateSpan(
-      const BitVector& probe,
-      FunctionRef<void(std::span<const RecordId>)> cb) const override {
+      FunctionRef<void(std::span<const uint32_t>)> cb) const override {
     const uint64_t h = probe.words().empty() ? 0 : probe.words()[0];
     const size_t groups = 1 + h % 5;
     for (size_t g = 0; g < groups; ++g) {
@@ -301,8 +338,11 @@ class HashedSpanSource : public CandidateSource {
     }
   }
 
+  std::span<const RecordId> slot_ids() const override { return ids_; }
+
  private:
-  std::vector<std::vector<RecordId>> buckets_;
+  std::vector<RecordId> ids_;
+  std::vector<std::vector<uint32_t>> buckets_;
 };
 
 std::vector<EncodedRecord> RandomRecords(size_t n, size_t bits,
@@ -328,7 +368,7 @@ TEST(MatcherParallelTest, OutputIdenticalAcrossThreadCounts) {
   std::vector<EncodedRecord> b = RandomRecords(257, 96, 1000, rng);
   HashedSpanSource source(kNumA, 23);
   VectorStore store;
-  store.AddAll(a);
+  EXPECT_TRUE(store.AddAll(a).ok());
   Matcher matcher(&source, &store);
   const PairClassifier classifier = MakeRecordThresholdClassifier(40);
 
@@ -357,7 +397,7 @@ TEST(MatcherParallelTest, NullPoolAndEmptyInputAreSafe) {
   std::vector<EncodedRecord> a = RandomRecords(4, 32, 0, rng);
   HashedSpanSource source(4, 5);
   VectorStore store;
-  store.AddAll(a);
+  EXPECT_TRUE(store.AddAll(a).ok());
   Matcher matcher(&source, &store);
   ThreadPool pool(4);
   MatchStats stats;
@@ -386,7 +426,7 @@ TEST(MatcherParallelTest, RuleClassifierIdenticalAcrossThreadCounts) {
   std::vector<EncodedRecord> b = RandomRecords(128, 96, 500, rng);
   HashedSpanSource source(kNumA, 17);
   VectorStore store;
-  store.AddAll(a);
+  EXPECT_TRUE(store.AddAll(a).ok());
   Matcher matcher(&source, &store);
 
   MatchStats serial_stats;

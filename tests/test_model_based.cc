@@ -108,7 +108,7 @@ TEST(BitVectorModelTest, AppendThenSliceIsIdentity) {
 TEST(BlockingTableModelTest, AgreesWithMultimap) {
   Rng rng(45);
   BlockingTable table;
-  std::map<uint64_t, std::vector<RecordId>> model;
+  std::map<uint64_t, std::vector<uint32_t>> model;
   const auto expect_agrees = [&](int op) {
     EXPECT_EQ(table.NumBuckets(), model.size()) << "op " << op;
     size_t model_entries = 0;
@@ -127,30 +127,30 @@ TEST(BlockingTableModelTest, AgreesWithMultimap) {
   };
   for (int op = 0; op < 2000; ++op) {
     const uint64_t key = rng.Below(50);
-    const RecordId id = rng.Below(200);
+    const auto slot = static_cast<uint32_t>(rng.Below(200));
     if (op == 0 || rng.NextBool(0.03)) {
       // A bulk batch: the exact-layout build into an empty table, plain
       // inserts into a non-empty one.
       std::vector<uint64_t> keys;
-      std::vector<RecordId> ids;
+      std::vector<uint32_t> slots;
       for (size_t n = 1 + rng.Below(40); n > 0; --n) {
         keys.push_back(rng.Below(50));
-        ids.push_back(rng.Below(200));
-        model[keys.back()].push_back(ids.back());
+        slots.push_back(static_cast<uint32_t>(rng.Below(200)));
+        model[keys.back()].push_back(slots.back());
       }
-      table.BulkInsert(keys.data(), 1, ids);
+      table.BulkInsert(keys.data(), 1, slots);
       expect_agrees(op);
     } else if (rng.NextBool(0.01)) {
       table.Clear();
       model.clear();
     } else if (rng.NextBool(0.85)) {
-      table.Insert(key, id);
-      model[key].push_back(id);
+      table.Insert(key, slot);
+      model[key].push_back(slot);
     } else {
-      table.Erase(id);
+      table.Erase(slot);
       for (auto it = model.begin(); it != model.end();) {
         auto& bucket = it->second;
-        bucket.erase(std::remove(bucket.begin(), bucket.end(), id),
+        bucket.erase(std::remove(bucket.begin(), bucket.end(), slot),
                      bucket.end());
         it = bucket.empty() ? model.erase(it) : std::next(it);
       }

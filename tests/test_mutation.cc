@@ -81,9 +81,10 @@ std::vector<LegacyBucket> ServiceBuckets(
   const std::vector<BlockingTable>& tables = blocker.value().tables();
   for (size_t l = 0; l < tables.size(); ++l) {
     tables[l].ForEachBucket(
-        [&](uint64_t key, std::span<const RecordId> ids) {
-          buckets.push_back(LegacyBucket{
-              l, key, false, std::vector<RecordId>(ids.begin(), ids.end())});
+        [&](uint64_t key, std::span<const uint32_t> slots) {
+          std::vector<RecordId> ids;
+          for (const uint32_t slot : slots) ids.push_back(records[slot].id);
+          buckets.push_back(LegacyBucket{l, key, false, std::move(ids)});
         });
   }
   return buckets;

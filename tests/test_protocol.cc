@@ -148,6 +148,37 @@ TEST(ProtocolTest, WidthMismatchRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ProtocolTest, RepeatedIdFromARejected) {
+  // A's records come from another party; two under one id would leave
+  // the second blocked but scored with the first one's vector.
+  Result<NcvrGenerator> gen = NcvrGenerator::Create();
+  ASSERT_TRUE(gen.ok());
+  const LinkageParameters parameters =
+      PublishedParameters(gen.value().schema());
+  Result<DataCustodian> alice = DataCustodian::Create("alice", parameters);
+  ASSERT_TRUE(alice.ok());
+  Rng rng(5);
+  std::vector<Record> records;
+  for (RecordId id = 0; id < 20; ++id) {
+    records.push_back(gen.value().Generate(id, rng));
+  }
+  records.push_back(records[3]);
+  records.back().id = 7;
+  Result<std::vector<EncodedRecord>> from_a =
+      alice.value().EncodeRecords(records);
+  ASSERT_TRUE(from_a.ok());
+  Result<LinkageUnit> charlie =
+      LinkageUnit::Create(parameters, CharlieOptions());
+  ASSERT_TRUE(charlie.ok());
+  Result<LinkageResultLite> result =
+      charlie.value().LinkEncoded(from_a.value(), from_a.value());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("record id 7 appears"),
+            std::string_view::npos)
+      << result.status().ToString();
+}
+
 TEST(ProtocolTest, InvalidRuleRejectedAtCreate) {
   Result<NcvrGenerator> gen = NcvrGenerator::Create();
   ASSERT_TRUE(gen.ok());

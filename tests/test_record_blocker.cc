@@ -58,7 +58,7 @@ TEST(RecordLevelBlockerTest, IdenticalVectorsAlwaysCandidates) {
   RecordLevelBlocker blocker =
       RecordLevelBlocker::CreateWithL(120, 30, 6, rng).value();
   const EncodedRecord a = MakeRecord(1, 120, {0, 5, 50, 100});
-  blocker.Insert(a);
+  blocker.Insert(a, 0);
   const std::set<RecordId> cands = Candidates(blocker, a.bits);
   EXPECT_TRUE(cands.contains(1));
 }
@@ -91,7 +91,7 @@ TEST(RecordLevelBlockerTest, NearDuplicatesFoundWithHighProbability) {
         b.bits.Set(pos);
       }
     }
-    blocker.Insert(a);
+    blocker.Insert(a, 0);
     if (Candidates(blocker, b.bits).contains(1)) ++found;
   }
   // Guarantee: >= 1 - delta = 0.9, allow sampling slack.
@@ -106,7 +106,7 @@ TEST(RecordLevelBlockerTest, DistantVectorsRarelyCandidates) {
   for (size_t i = 0; i < 60; ++i) a.bits.Set(i);
   EncodedRecord far = MakeRecord(2, 120, {});
   for (size_t i = 60; i < 120; ++i) far.bits.Set(i);
-  blocker.Insert(a);
+  blocker.Insert(a, 0);
   EXPECT_FALSE(Candidates(blocker, far.bits).contains(1));
 }
 
@@ -115,7 +115,7 @@ TEST(RecordLevelBlockerTest, CandidateOccurrencesRepeatAcrossGroups) {
   RecordLevelBlocker blocker =
       RecordLevelBlocker::CreateWithL(120, 5, 8, rng).value();
   const EncodedRecord a = MakeRecord(1, 120, {0, 1, 2});
-  blocker.Insert(a);
+  blocker.Insert(a, 0);
   size_t occurrences = 0;
   blocker.ForEachCandidate(a.bits, [&](RecordId) { ++occurrences; });
   // Identical vectors collide in every group.

@@ -671,7 +671,7 @@ std::vector<IdPair> OfflinePairs(const CbvHbConfig& config,
   EXPECT_TRUE(a.ok() && b.ok());
   blocker.value().BulkInsert(a.value(), pool);
   VectorStore store;
-  store.AddAll(a.value());
+  EXPECT_TRUE(store.AddAll(a.value()).ok());
   const Matcher matcher(&blocker.value(), &store);
   return Sorted(matcher.MatchAll(
       b.value(), MakeRuleClassifier(config.rule, encoder.value().layout()),
@@ -702,6 +702,44 @@ std::vector<Record> DifferentialQueries(const NcvrGenerator& gen,
     queries.push_back(gen.Generate(200000 + i, rng));
   }
   return queries;
+}
+
+/// FNV-1a over the pair sequence, to pin a pair list to a digest.
+uint64_t PairsDigest(const std::vector<IdPair>& pairs) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const IdPair& pair : pairs) {
+    for (const uint64_t value : {uint64_t{pair.a_id}, uint64_t{pair.b_id}}) {
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (value >> (8 * byte)) & 0xff;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+/// Expects every pair to satisfy the rule on the current vectors: the
+/// live record under a_id and the query under b_id, both encoded by the
+/// service's encoder.
+void ExpectPairsSatisfyRule(const LinkageService& service,
+                            const CbvHbConfig& config,
+                            const std::map<RecordId, Record>& live,
+                            const std::vector<Record>& queries,
+                            const std::vector<IdPair>& pairs) {
+  const CVectorRecordEncoder& encoder = service.encoder();
+  const PairClassifier classifier =
+      MakeRuleClassifier(config.rule, encoder.layout());
+  std::map<RecordId, const Record*> query_by_id;
+  for (const Record& q : queries) query_by_id[q.id] = &q;
+  for (const IdPair& pair : pairs) {
+    ASSERT_TRUE(live.contains(pair.a_id)) << "dead record " << pair.a_id;
+    ASSERT_TRUE(query_by_id.contains(pair.b_id));
+    Result<EncodedRecord> a = encoder.Encode(live.at(pair.a_id));
+    Result<EncodedRecord> b = encoder.Encode(*query_by_id.at(pair.b_id));
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_TRUE(classifier(a.value().bits, b.value().bits))
+        << "pair (" << pair.a_id << ", " << pair.b_id << ")";
+  }
 }
 
 std::vector<Record> Values(const std::map<RecordId, Record>& live) {
@@ -737,8 +775,14 @@ TEST(ServiceDifferentialTest, ServedPairsEqualOfflineMatcher) {
       GenerateRecords(gen.value(), 240, 21);
   const std::vector<Record> full_queries =
       DifferentialQueries(gen.value(), full_registry);
-  for (const CbvHbConfig& config :
-       DifferentialConfigs(gen.value().schema())) {
+  // The served pairs after the Delete/Update mix and before Compact(),
+  // per config, captured at commit 467772e, whose tables held RecordIds.
+  const uint64_t kMixedDigests[] = {0x54a366c90ca7b746ULL,
+                                    0xef986af97933213aULL};
+  const std::vector<CbvHbConfig> configs =
+      DifferentialConfigs(gen.value().schema());
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const CbvHbConfig& config = configs[c];
     const std::vector<Record> registry = Project(full_registry, config.schema);
     const std::vector<Record> queries = Project(full_queries, config.schema);
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -773,6 +817,18 @@ TEST(ServiceDifferentialTest, ServedPairsEqualOfflineMatcher) {
         ASSERT_TRUE(service.Update(updated).ok());
         live[updated.id] = updated;
       }
+      // Before Compact(): each update re-indexed its record under the
+      // store slot it resurrected in place, and the old buckets still name
+      // that slot.  So the served pairs hold every offline pair, may hold
+      // more (old buckets), and each satisfies the rule on live vectors.
+      const std::vector<IdPair> mixed = ServedPairs(service, queries);
+      const std::vector<IdPair> offline =
+          OfflinePairs(config, Values(live), queries, &pool);
+      EXPECT_TRUE(std::includes(mixed.begin(), mixed.end(), offline.begin(),
+                                offline.end()));
+      ExpectPairsSatisfyRule(service, config, live, queries, mixed);
+      EXPECT_EQ(PairsDigest(mixed), kMixedDigests[c])
+          << std::hex << PairsDigest(mixed);
       ASSERT_TRUE(service.Compact().ok());
       const std::vector<IdPair> compacted = ServedPairs(service, queries);
       EXPECT_EQ(compacted,
